@@ -72,10 +72,12 @@ _SPARSE = {"n_samples": 160, "period": 24}
 _SPARSE64 = {"n_samples": 70, "period": 64}
 
 #: single_master with a short workload: most of the 5000-cycle run is the
-#: drained tail, which the batch engines skip in O(1) dispatches.
+#: drained tail, which the engines skip in O(1) dispatches.
 _SINGLE = {"n_bursts": 40}
 
 SCENARIOS: List[Scenario] = [
+    # Dense periodic streams: the conventional engine's trace replay
+    # fast-forwards verified steady-state periods here.
     Scenario("conventional/als_soc", _request("als_streaming", "conservative"), quick=True),
     Scenario("als/acc=1.0/lob=64", _request("als_streaming", "als"), quick=True),
     Scenario("als/acc=0.95/lob=64", _request("als_streaming", "als", accuracy=0.95)),
@@ -87,88 +89,29 @@ SCENARIOS: List[Scenario] = [
     Scenario("als/acc=1.0/lob=256", _request("als_streaming", "als", lob_depth=256)),
     Scenario("sla/acc=1.0/lob=64", _request("sla_streaming", "sla"), quick=True),
     Scenario("sla/acc=0.9/lob=64", _request("sla_streaming", "sla", accuracy=0.9)),
-    Scenario("conventional/sla_soc", _request("sla_streaming", "conservative")),
-    # Scalar-vs-batch pairs: same request, batch-stepped engine.  The sparse
-    # scenario is the idle-heavy regime the quiescence fast-forward targets;
-    # the streaming pairs measure the batch kernel on busy traffic (gains
-    # come from inter-burst gaps and the drained tail).
-    Scenario(
-        "conventional_batch/als_soc",
-        _request("als_streaming", "conservative", engine="conventional_batch"),
-        quick=True,
-    ),
-    Scenario(
-        "als_batch/acc=1.0/lob=64",
-        _request("als_streaming", "als", engine="als_batch"),
-        quick=True,
-    ),
-    Scenario(
-        "als_batch/acc=0.95/lob=64",
-        _request("als_streaming", "als", accuracy=0.95, engine="als_batch"),
-    ),
-    # Scalar-vs-trace pairs on the dense streaming SoCs: busy periodic
-    # traffic where the batch kernel finds nothing to skip but the periodic
-    # trace-replay controller fast-forwards verified steady-state periods.
-    # Compare against the scalar baselines in this same file
-    # (conventional/als_soc, conventional/sla_soc).
-    Scenario(
-        "conventional_trace/als_soc",
-        _request("als_streaming", "conservative", engine="conventional_trace"),
-        quick=True,
-    ),
-    Scenario(
-        "conventional_trace/sla_soc",
-        _request("sla_streaming", "conservative", engine="conventional_trace"),
-        quick=True,
-    ),
+    Scenario("conventional/sla_soc", _request("sla_streaming", "conservative"), quick=True),
+    # Idle-heavy points: the regime the quiescence fast-forward targets.
     Scenario(
         "conventional/sparse_soc",
         _request("sparse_telemetry", "conservative", params=_SPARSE),
-    ),
-    Scenario(
-        "conventional_batch/sparse_soc",
-        _request("sparse_telemetry", "conservative", params=_SPARSE, engine="conventional_batch"),
         quick=True,
     ),
     Scenario("als/sparse_soc", _request("sparse_telemetry", "als", params=_SPARSE)),
     Scenario(
-        "als_batch/sparse_soc",
-        _request("sparse_telemetry", "als", params=_SPARSE, engine="als_batch"),
-    ),
-    Scenario(
         "conventional/sparse64_soc",
         _request("sparse_telemetry", "conservative", params=_SPARSE64),
     ),
-    Scenario(
-        "conventional_batch/sparse64_soc",
-        _request("sparse_telemetry", "conservative", params=_SPARSE64,
-                 engine="conventional_batch"),
-    ),
     # Deep LOB on the sparse point: run-ahead windows span whole idle gaps,
-    # so the batch engine amortises follow-up boundaries as well as cycles.
+    # so the batched follow-up amortises boundaries as well as cycles.
     Scenario(
         "als/sparse64/lob=256",
         _request("sparse_telemetry", "als", params=_SPARSE64, lob_depth=256),
     ),
     Scenario(
-        "als_batch/sparse64/lob=256",
-        _request("sparse_telemetry", "als", params=_SPARSE64, lob_depth=256,
-                 engine="als_batch"),
-    ),
-    Scenario(
         "conventional/single_master",
         _request("single_master", "conservative", params=_SINGLE),
     ),
-    Scenario(
-        "conventional_batch/single_master",
-        _request("single_master", "conservative", params=_SINGLE,
-                 engine="conventional_batch"),
-    ),
     Scenario("als/single_master", _request("single_master", "als", params=_SINGLE)),
-    Scenario(
-        "als_batch/single_master",
-        _request("single_master", "als", params=_SINGLE, engine="als_batch"),
-    ),
 ]
 
 

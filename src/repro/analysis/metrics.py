@@ -143,7 +143,7 @@ def summarize_counts(counts: Dict[str, int]) -> str:
 def trace_replay_share(trace_replay: Mapping[str, object], committed_cycles: int) -> float:
     """Fraction of committed cycles the trace-replay controller fast-forwarded.
 
-    ``trace_replay`` is the counter mapping the trace engines attach to
+    ``trace_replay`` is the counter mapping the conventional engine attaches to
     results (``CoEmulationResult.trace_replay`` / ``RunRecord.trace_replay``).
     Engines without the controller report an empty mapping; those, disabled
     controllers and zero-cycle runs all yield ``0.0``.

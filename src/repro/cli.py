@@ -364,24 +364,6 @@ def _cmd_mechanism(args: argparse.Namespace) -> str:
     )
 
 
-def _kernel_refusals(engine) -> Dict[str, int]:
-    """Aggregate :class:`~repro.sim.kernel.CycleKernel` fast-forward refusal
-    tallies reachable from an engine.
-
-    The co-emulation engines drive the half bus models directly, but
-    kernel-backed components (reference buses, accelerator wrappers) may hang
-    off the hosts; the probe is defensive so either layout reports.
-    """
-    totals: Dict[str, int] = {}
-    for host in getattr(engine, "_host_list", None) or []:
-        stats = getattr(getattr(host, "kernel", None), "stats", None)
-        refusals = getattr(stats, "fast_forward_refusals", None)
-        if refusals:
-            for reason, count in refusals.items():
-                totals[reason] = totals.get(reason, 0) + count
-    return totals
-
-
 def _cmd_run(args: argparse.Namespace) -> Union[str, Tuple[str, int]]:
     topology = _parse_topology(args.topology)
     channel_faults = _parse_faults(args.faults, args.loss)
@@ -392,7 +374,6 @@ def _cmd_run(args: argparse.Namespace) -> Union[str, Tuple[str, int]]:
         lob_depth=args.lob_depth,
         accuracy=args.accuracy,
         engine=args.engine,
-        config_overrides={"trace_replay": True} if args.trace else {},
         topology=topology,
         channel_faults=channel_faults,
     )
@@ -429,12 +410,6 @@ def _cmd_run(args: argparse.Namespace) -> Union[str, Tuple[str, int]]:
                 f"profile: trace replay {'on' if trace.get('enabled') else 'off'}, "
                 f"{trace.get('replayed_cycles', 0)} cycles replayed ({share:.1%}), "
                 f"bailouts: {bailouts}",
-                file=sys.stderr,
-            )
-        refusals = _kernel_refusals(engine)
-        if refusals:
-            print(
-                f"profile: kernel fast-forward refusals: {summarize_counts(refusals)}",
                 file=sys.stderr,
             )
     checkpoint = _checkpoint_policy(args)
@@ -557,7 +532,6 @@ def _cmd_sweep(args: argparse.Namespace) -> Union[str, Tuple[str, int]]:
         cycles=args.cycles,
         base_seed=args.seed,
         engine=args.engine,
-        config_overrides={"trace_replay": True} if args.trace else {},
         topology=topology,
         channel_faults=channel_faults,
     )
@@ -890,12 +864,6 @@ def build_parser() -> argparse.ArgumentParser:
              "--faults by overriding its loss_rate)",
     )
     run.add_argument(
-        "--trace", action="store_true",
-        help="enable periodic trace replay (the cycle-pattern cache); the "
-             "result is bit-identical to the scalar engine, only faster on "
-             "periodic steady states",
-    )
-    run.add_argument(
         "--profile", default=None, metavar="OUT.pstats",
         help="cProfile the engine loop of an extra identical run and dump "
              "the stats to this path (inspect with `python -m pstats`)",
@@ -932,11 +900,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--engine", default=None,
         help="force a registered engine for every run (e.g. 'analytical')",
-    )
-    sweep.add_argument(
-        "--trace", action="store_true",
-        help="enable periodic trace replay on every grid point (bit-identical "
-             "results; the trace%% column shows the replayed-cycle share)",
     )
     sweep.add_argument(
         "--topology", default=None, metavar="JSON|PATH",

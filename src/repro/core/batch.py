@@ -1,10 +1,10 @@
-"""Batch-stepped engine variants: vectorised multi-cycle advancement.
+"""Batched inner loops of the registered ``optimistic`` engine.
 
-The scalar engines pay one full Python dispatch round per target cycle even
-when the modelled system is provably quiescent (every master parked, no data
-phase in flight, predictions at their all-idle fixed point).  The two engines
-here -- ``conventional_batch`` and ``als_batch`` -- detect such stretches and
-advance them as one batched step:
+The scalar :class:`~repro.core.optimistic.OptimisticCoEmulation` pays one
+full Python dispatch round per target cycle even when the modelled system is
+provably quiescent (every master parked, no data phase in flight,
+predictions at their all-idle fixed point).  The engine here detects such
+stretches and advances them as one batched step:
 
 * the *quiescence detector* (:meth:`HalfBusModel.idle_stationary` plus the
   per-master :meth:`~repro.ahb.master.AhbMaster.next_activity_cycle` horizon)
@@ -16,11 +16,10 @@ advance them as one batched step:
   :mod:`repro.sim.batchmath`), same RNG draw order -- without re-entering
   per-cycle dispatch.
 
-Both engines are bit-identical to their scalar counterparts on every modelled
-quantity; the golden regression digests and the batch-vs-scalar equivalence
-suites enforce this.  They are registered without modes and selected either
-explicitly (``engine="als_batch"``) or through
-:attr:`~repro.core.coemulation.CoEmulationConfig.batch_stepping`.
+The engine is bit-identical to the scalar reference on every modelled
+quantity; the golden regression digests and the engine-vs-reference
+equivalence suites enforce this.  The conservative counterpart (idle
+fast-forward plus trace replay) lives in :mod:`repro.core.trace`.
 """
 
 from __future__ import annotations
@@ -30,62 +29,18 @@ from typing import List, Optional
 from ..ahb.half_bus import _NO_INTERRUPTS, BoundaryDrive
 from ..ahb.signals import AddressPhase, BusCycleRecord, DataPhaseResult
 from ..sim.batchmath import repeat_add
-from .conventional import ConventionalCoEmulation
-from .coemulation import CoEmulationResult
 from .domain import DomainHost
 from .engine import register_engine
 from .lob import LobEntry
 from .modes import OperatingMode
 from .optimistic import OptimisticCoEmulation
-from .prediction import PredictionRecord, PredictionStats
+from .prediction import PredictionRecord
 
 
 @register_engine(
-    "conventional_batch",
-    modes=(),
-    description="batch-stepped lock-step baseline (quiescence fast-forwarding)",
-)
-class ConventionalBatchCoEmulation(ConventionalCoEmulation):
-    """Lock-step synchronisation advancing quiescent stretches per dispatch.
-
-    Identical to :class:`ConventionalCoEmulation` on every modelled quantity:
-    when the upcoming cycles are provably all-idle fixed-point cycles (see
-    :meth:`~repro.core.coemulation.CoEmulationEngineBase._idle_run_length`)
-    the whole stretch is committed by one
-    :meth:`~repro.core.coemulation.CoEmulationEngineBase._fast_forward_idle_cycles`
-    call; everything else runs the scalar cycle.
-    """
-
-    def run(self) -> CoEmulationResult:
-        """Run ``config.total_cycles`` target cycles in (batched) lock step."""
-        total = self.config.total_cycles
-        stop = self.config.stop_when_workload_done
-        ledger = self.ledger
-        while ledger.committed_cycles < total:
-            self._safe_point()
-            # The workload-done check comes *first*: the scalar loop always
-            # runs one more cycle after the workload drains, then stops --
-            # fast-forwarding here would commit the whole idle remainder
-            # instead of that single cycle.  Done-ness cannot change inside a
-            # quiescent stretch (no transaction completes while every master
-            # is parked), so checking once per stretch is exact.
-            if not (stop and self._workload_done()):
-                run = self._idle_run_length(total - ledger.committed_cycles)
-                if run > 1:
-                    self._fast_forward_idle_cycles(run)
-                    continue
-            self.run_conservative_cycle()
-            if stop and self._workload_done():
-                break
-        return self._build_result(
-            OperatingMode.CONSERVATIVE, prediction=PredictionStats(), lob={}
-        )
-
-
-@register_engine(
-    "als_batch",
-    modes=(),
-    description="batch-stepped prediction-and-rollback engine (fused run-ahead / follow-up)",
+    "optimistic",
+    modes=(OperatingMode.SLA, OperatingMode.ALS, OperatingMode.AUTO),
+    description="prediction-and-rollback engine (SLA / ALS / AUTO leaders)",
 )
 class OptimisticBatchCoEmulation(OptimisticCoEmulation):
     """Prediction-and-rollback engine with fused multi-cycle inner loops.

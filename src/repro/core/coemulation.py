@@ -100,24 +100,6 @@ class CoEmulationConfig:
     interrupt_names: List[str] = field(default_factory=list)
     keep_channel_log: bool = False
     stop_when_workload_done: bool = False
-    #: Batch-stepped engine selection: when True (and no explicit engine name
-    #: is requested) the registry resolves the operating mode to its
-    #: batch-stepping variant (``conventional_batch`` / ``als_batch``), which
-    #: advances provably quiescent stretches of cycles per Python-level
-    #: dispatch instead of one cycle at a time.  The batch engines are
-    #: bit-identical to the scalar ones on every modelled quantity (the
-    #: equivalence suites enforce digest equality); the scalar engines ignore
-    #: the flag.
-    batch_stepping: bool = False
-    #: Periodic steady-state trace replay (see :mod:`repro.core.trace`): when
-    #: True (and no explicit engine name is requested) the registry resolves
-    #: the operating mode to its trace variant (``conventional_trace`` /
-    #: ``als_trace``), which detects recurring per-cycle state signatures,
-    #: verifies one full period against a second scalar execution and then
-    #: replays further periods from the verified template.  Bit-identical to
-    #: the scalar engines on every modelled quantity; replay hit/verify/
-    #: bailout counters land on ``CoEmulationResult.trace_replay``.
-    trace_replay: bool = False
     #: Activity-gated multi-domain synchronisation (Chandy-Misra-Bryant style
     #: null-message reduction).  With three or more domains, a domain whose
     #: boundary drive is unchanged since it was last shipped exchanges

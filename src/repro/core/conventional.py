@@ -14,18 +14,18 @@ from __future__ import annotations
 from typing import Optional
 
 from .coemulation import CoEmulationConfig, CoEmulationEngineBase, CoEmulationResult
-from .engine import register_engine
 from .modes import OperatingMode
 from .prediction import PredictionStats
 
 
-@register_engine(
-    "conventional",
-    modes=(OperatingMode.CONSERVATIVE,),
-    description="lock-step cycle-by-cycle synchronisation (the paper's baseline)",
-)
 class ConventionalCoEmulation(CoEmulationEngineBase):
-    """Lock-step, cycle-by-cycle synchronisation of all topology domains."""
+    """Lock-step, cycle-by-cycle synchronisation of all topology domains.
+
+    The scalar reference loop: one exchange per target cycle, nothing
+    skipped.  The registered ``conventional`` engine
+    (:class:`~repro.core.trace.ConventionalTraceCoEmulation`) extends it with
+    quiescence fast-forward and trace replay and must match it bit for bit.
+    """
 
     # No predictions are ever made, so conservative cycles skip the predictor
     # training bookkeeping entirely (host-side only; results are unchanged).

@@ -63,21 +63,6 @@ class EngineInfo:
 
 _REGISTRY: Dict[str, EngineInfo] = {}
 _MODE_INDEX: Dict[OperatingMode, str] = {}
-#: Mode-resolved engine name -> its batch-stepping variant.  Consulted when
-#: ``config.batch_stepping`` is set and no explicit ``engine=`` was given.
-_BATCH_VARIANTS: Dict[str, str] = {
-    "conventional": "conventional_batch",
-    "optimistic": "als_batch",
-}
-#: Mode-resolved engine name -> its trace-replay variant.  Consulted when
-#: ``config.trace_replay`` is set and no explicit ``engine=`` was given;
-#: wins over the batch variant (the trace engines extend the batch ones).
-_TRACE_VARIANTS: Dict[str, str] = {
-    "conventional": "conventional_trace",
-    "optimistic": "als_trace",
-    "conventional_batch": "conventional_trace",
-    "als_batch": "als_trace",
-}
 _BUILTINS_LOADED = False
 
 
@@ -133,7 +118,7 @@ def _ensure_builtin_engines() -> None:
     global _BUILTINS_LOADED
     if _BUILTINS_LOADED:
         return
-    from . import analytical_engine, batch, conventional, optimistic, trace  # noqa: F401
+    from . import analytical_engine, batch, trace  # noqa: F401
 
     _BUILTINS_LOADED = True
 
@@ -173,23 +158,14 @@ def engine_for_mode(mode: OperatingMode) -> str:
 
 
 def resolve_engine_name(config, engine: Optional[str] = None) -> str:
-    """The engine name a ``create_engine`` call would actually instantiate.
-
-    An explicit ``engine=`` wins outright; otherwise the mode's default
-    engine is promoted to its batch variant when ``config.batch_stepping``
-    is set, then to its trace variant when ``config.trace_replay`` is set
-    (the trace engines extend the batch run loop, so trace wins).
-    """
+    """The engine name a ``create_engine`` call would actually instantiate:
+    the explicit ``engine=`` if given, else the mode's registered engine."""
     _ensure_builtin_engines()
     if engine is not None:
         return engine
     name = _MODE_INDEX.get(config.mode)
     if name is None:
         raise _unknown_mode_error(config.mode)
-    if getattr(config, "batch_stepping", False):
-        name = _BATCH_VARIANTS.get(name, name)
-    if getattr(config, "trace_replay", False):
-        name = _TRACE_VARIANTS.get(name, name)
     return name
 
 

@@ -42,7 +42,6 @@ from ..ahb.transaction import CompletedBeat
 from ..sim.component import Domain
 from .coemulation import CoEmulationConfig, CoEmulationEngineBase, CoEmulationResult
 from .domain import DomainHost
-from .engine import register_engine
 from .lob import LeaderOutputBuffer, LobEntry
 from .modes import ModeDecision, OperatingMode, policy_for_mode
 from .prediction import PredictionStats
@@ -87,11 +86,6 @@ class OptimisticRunTrace:
         return [entry.path for entry in self.entries if entry.domain is domain]
 
 
-@register_engine(
-    "optimistic",
-    modes=(OperatingMode.SLA, OperatingMode.ALS, OperatingMode.AUTO),
-    description="prediction-and-rollback engine (SLA / ALS / AUTO leaders)",
-)
 class OptimisticCoEmulation(CoEmulationEngineBase):
     """Prediction-and-rollback synchronisation between the topology domains.
 
@@ -99,6 +93,10 @@ class OptimisticCoEmulation(CoEmulationEngineBase):
     is exactly the paper's scheme; with N domains the leader predicts the
     merged boundary values of all laggers, flushes the LOB to each of them,
     and the laggers replay the buffered cycles in lock step among themselves.
+
+    This is the scalar reference loop.  The registered ``optimistic`` engine
+    (:class:`~repro.core.batch.OptimisticBatchCoEmulation`) batches its two
+    inner loops and must match it bit for bit.
     """
 
     def __init__(

@@ -1,11 +1,12 @@
 """Periodic steady-state trace replay: a cycle-pattern cache for busy loops.
 
-The batch-stepping engines (:mod:`repro.core.batch`) fast-forward only the
-degenerate steady state -- full quiescence.  Dense streaming workloads never
-quiesce: they run the scalar lock-step exchange cycle by cycle even though the
-bus activity is perfectly periodic (streaming bursts are periodic by
-construction).  This module adds the busy-loop analogue of quiescence
-fast-forwarding:
+Quiescence fast-forward (``CoEmulationEngineBase._fast_forward_idle_cycles``)
+covers only the degenerate steady state -- full quiescence.  Dense streaming
+workloads never quiesce: they run the scalar lock-step exchange cycle by
+cycle even though the bus activity is perfectly periodic (streaming bursts
+are periodic by construction).  This module adds the busy-loop analogue of
+quiescence fast-forwarding, and the registered ``conventional`` engine that
+runs both:
 
 1. **Search.**  After every scalar cycle the controller digests the
    architectural state that determines future *control* decisions -- arbiter
@@ -52,8 +53,8 @@ from ..ahb.signals import BusCycleRecord, DataPhaseResult, HBurst, HTrans
 from ..ahb.slave import MemorySlave
 from ..ahb.transaction import CompletedBeat
 from ..sim.batchmath import repeat_add, repeat_add_pattern
-from .batch import ConventionalBatchCoEmulation, OptimisticBatchCoEmulation
 from .coemulation import CoEmulationResult
+from .conventional import ConventionalCoEmulation
 from .engine import register_engine
 from .modes import OperatingMode
 from .prediction import PredictionStats
@@ -255,7 +256,7 @@ def _records_structurally_equal(a: BusCycleRecord, b: BusCycleRecord) -> bool:
 class PeriodicTraceController:
     """Detects, verifies and replays periodic steady states for one engine.
 
-    Attached to a trace engine as ``engine.replay``; the engine's run loop
+    Attached to the conventional engine as ``engine.replay``; its run loop
     calls :meth:`observe` after every scalar conservative cycle,
     :meth:`try_replay` when a template is armed, and
     :meth:`note_discontinuity` after quiescence fast-forwards.
@@ -298,12 +299,6 @@ class PeriodicTraceController:
         The conditions are all construction-time constants.
         """
         engine = self.engine
-        if getattr(engine, "observe_during_conservative", True):
-            # Conservative cycles train the predictors per cycle; replaying
-            # them would have to re-derive per-cycle predictor updates, which
-            # defeats the point.  The ALS trace engine stays honest and runs
-            # its conservative stretches scalar.
-            return "predictor_training"
         if len(engine._host_list) != 2:
             return "topology"
         if engine._fault_links:
@@ -940,16 +935,19 @@ class PeriodicTraceController:
 
 
 @register_engine(
-    "conventional_trace",
-    modes=(),
-    description="lock-step engine with periodic steady-state trace replay",
+    "conventional",
+    modes=(OperatingMode.CONSERVATIVE,),
+    description="lock-step cycle-by-cycle synchronisation (the paper's baseline)",
 )
-class ConventionalTraceCoEmulation(ConventionalBatchCoEmulation):
-    """Conventional batch engine plus the periodic trace cache.
+class ConventionalTraceCoEmulation(ConventionalCoEmulation):
+    """Lock-step synchronisation that skips work it can prove redundant.
 
-    Identical results to ``conventional`` / ``conventional_batch`` on every
-    modelled quantity; committed periodic stretches are replayed from a
-    verified template instead of re-deriving the schedule every cycle.
+    Identical to the scalar :class:`ConventionalCoEmulation` on every
+    modelled quantity.  Each loop iteration tries, in order: a quiescence
+    fast-forward (upcoming cycles provably all-idle, see
+    :meth:`~repro.core.coemulation.CoEmulationEngineBase._idle_run_length`),
+    a replay of one verified period from the trace cache, then the scalar
+    cycle.  Both fast paths turn themselves off from what they observe.
     """
 
     def __init__(self, partition, acc_hbm=None, config=None) -> None:
@@ -957,12 +955,19 @@ class ConventionalTraceCoEmulation(ConventionalBatchCoEmulation):
         self.replay = PeriodicTraceController(self)
 
     def run(self) -> CoEmulationResult:
+        """Run ``config.total_cycles`` target cycles in lock step."""
         total = self.config.total_cycles
         stop = self.config.stop_when_workload_done
         ledger = self.ledger
         replay = self.replay
         while ledger.committed_cycles < total:
             self._safe_point()
+            # The workload-done check comes *first*: the scalar loop always
+            # runs one more cycle after the workload drains, then stops --
+            # fast-forwarding here would commit the whole idle remainder
+            # instead of that single cycle.  Done-ness cannot change inside a
+            # quiescent stretch (no transaction completes while every master
+            # is parked), so checking once per stretch is exact.
             if not (stop and self._workload_done()):
                 run = self._idle_run_length(total - ledger.committed_cycles)
                 if run > 1:
@@ -980,25 +985,3 @@ class ConventionalTraceCoEmulation(ConventionalBatchCoEmulation):
         return self._build_result(
             OperatingMode.CONSERVATIVE, prediction=PredictionStats(), lob={}
         )
-
-
-@register_engine(
-    "als_trace",
-    modes=(),
-    description="ALS batch engine with the trace-replay plumbing (replay "
-    "stays disabled while conservative cycles train the predictors)",
-)
-class OptimisticTraceCoEmulation(OptimisticBatchCoEmulation):
-    """ALS batch engine carrying the trace controller for observability.
-
-    Conservative cycles under ALS train the boundary predictors every cycle,
-    so replaying them from a template would skip exactly the bookkeeping the
-    scheme depends on; the controller detects this at construction and
-    records a single ``predictor_training`` bailout.  Throughput therefore
-    matches ``als_batch``; the value of this registration is the uniform
-    ``trace_replay`` counters in sweeps that mix engines.
-    """
-
-    def __init__(self, partition, acc_hbm=None, config=None, trace_paths=False) -> None:
-        super().__init__(partition, acc_hbm, config, trace_paths)
-        self.replay = PeriodicTraceController(self)

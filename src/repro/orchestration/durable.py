@@ -13,7 +13,7 @@ execute_request` with a persistence loop attached through the engine's
   bit-identical to an uninterrupted run (corrupt snapshots are quarantined
   to ``.snap.corrupt`` and the run starts cold instead);
 * a ``heartbeat`` callable is invoked at every safe point with the committed
-  cycle count -- the supervisor's watchdog reads progress from it;
+  cycle count -- fleet workers stop renewing a lease when it stalls;
 * a :class:`~repro.orchestration.chaos.ChaosMonkey` (if any) gets its shot
   at every safe point, and may veto snapshot writes (simulated disk-full);
 * a ``drain`` predicate turns ``True`` into "persist a final snapshot and

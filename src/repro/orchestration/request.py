@@ -151,10 +151,8 @@ class RunRequest:
         return OperatingMode(self.mode)
 
     def engine_name(self) -> str:
-        """The registry name this request resolves to, config flags included
-        (``batch_stepping`` / ``trace_replay`` overrides promote the mode's
-        default engine to its batch/trace variant, as ``create_engine`` does).
-        """
+        """The registry name this request resolves to (``engine`` or the
+        mode's registered engine, as ``create_engine`` resolves it)."""
         return resolve_engine_name(self.build_config(), self.engine)
 
     def build_config(self) -> CoEmulationConfig:
@@ -211,7 +209,7 @@ class RunRecord:
     wasted_leader_cycles: int
     beat_digest: str
     #: Trace-replay counters (``CoEmulationResult.trace_replay``); empty for
-    #: engines without the periodic replay controller.
+    #: engines without the periodic replay controller (all but ``conventional``).
     trace_replay: dict = field(default_factory=dict)
     digest: str = ""
 

@@ -7,8 +7,8 @@ supervisor:
 
 * each attempt runs in a **child process** with a wall-clock ``deadline``;
   a watchdog in the parent SIGKILLs the child when the deadline passes
-  (the child's engine loop writes heartbeats, so the failure record can say
-  how far it got);
+  (the failure record says how far it got: the committed cycle of its
+  latest durable snapshot, where a retry resumes);
 * failed attempts are **retried with exponential backoff** -- and because
   the child checkpoints through the durable executor, a retry resumes from
   the latest snapshot instead of cycle 0;
@@ -46,8 +46,9 @@ from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..channel.faults import ChannelDegradedError
+from ..core.snapshot import SnapshotError, read_snapshot
 from .chaos import ChaosConfig, ChaosMonkey
-from .durable import CheckpointPolicy, DurableRunEvents, execute_request_durable
+from .durable import CheckpointPolicy, execute_request_durable, snapshot_path
 from .request import RunRecord, RunRequest, canonical_json
 from .store import atomic_write_text, parse_record_line
 
@@ -169,33 +170,10 @@ class RunFailure:
 # Child side: one attempt in its own process.
 # --------------------------------------------------------------------------
 
-def _heartbeat_writer(path: Path, min_interval: float = 0.02):
-    """A rate-limited heartbeat: the child's committed cycle count on disk.
-
-    Plain overwrite, not atomic -- a torn read in the parent merely delays
-    one watchdog poll, and atomic renames at every safe point would dominate
-    small runs.
-    """
-    last_beat = [0.0]
-
-    def beat(committed: int) -> None:
-        now = time.monotonic()
-        if now - last_beat[0] < min_interval:
-            return
-        last_beat[0] = now
-        try:
-            path.write_text(f"{committed}\n", encoding="utf-8")
-        except OSError:
-            pass
-
-    return beat
-
-
 def _supervised_child(
     request_payload: Dict[str, Any],
     snapshot_dir: str,
     result_path: str,
-    heartbeat_path: str,
     error_path: str,
     checkpoint: Tuple[Optional[int], Optional[float]],
     chaos_payload: Optional[Dict[str, Any]],
@@ -233,7 +211,6 @@ def _supervised_child(
             request,
             snapshot_dir,
             policy=policy,
-            heartbeat=_heartbeat_writer(Path(heartbeat_path)),
             chaos=chaos,
         )
     except ChannelDegradedError as exc:
@@ -249,11 +226,17 @@ def _supervised_child(
 # Parent side: watchdog, retry loop, quarantine.
 # --------------------------------------------------------------------------
 
-def _read_heartbeat(path: Path) -> Optional[int]:
+def _snapshot_cycle(snapshot_dir: Path, request_id: str) -> Optional[int]:
+    """Committed cycle of the request's latest durable snapshot, if any.
+
+    Deterministic under a cycle-based checkpoint policy, unlike anything the
+    child could report on its own clock.
+    """
     try:
-        return int(path.read_text(encoding="utf-8").strip())
-    except (OSError, ValueError):
+        meta, _ = read_snapshot(snapshot_path(snapshot_dir, request_id))
+    except (OSError, SnapshotError):
         return None
+    return meta.committed_cycles
 
 
 def _run_attempt(
@@ -272,9 +255,8 @@ def _run_attempt(
     """
     scratch = snapshot_dir / f"{request.request_id}.attempt{attempt}"
     result_path = scratch.with_suffix(".result")
-    heartbeat_path = scratch.with_suffix(".beat")
     error_path = scratch.with_suffix(".err")
-    for path in (result_path, heartbeat_path, error_path):
+    for path in (result_path, error_path):
         try:
             path.unlink()
         except OSError:
@@ -287,7 +269,6 @@ def _run_attempt(
             request.as_dict(),
             str(snapshot_dir),
             str(result_path),
-            str(heartbeat_path),
             str(error_path),
             (policy.checkpoint.every_cycles, policy.checkpoint.every_seconds),
             chaos_payload,
@@ -311,12 +292,8 @@ def _run_attempt(
     detail: Dict[str, Any] = {
         "attempt": attempt,
         "exit_code": exitcode,
-        "last_committed": _read_heartbeat(heartbeat_path),
+        "last_committed": _snapshot_cycle(snapshot_dir, request.request_id),
     }
-    try:
-        heartbeat_path.unlink()
-    except OSError:
-        pass
 
     if timed_out:
         detail["status"] = "timeout"

@@ -9,7 +9,6 @@ checkpointing (rollback support).
 from __future__ import annotations
 
 import copy as _copy
-import warnings
 from abc import ABC, abstractmethod
 from array import array
 from enum import Enum
@@ -56,27 +55,6 @@ class Domain(str):
     def value(self) -> str:
         """The id as a plain string (enum-era spelling, kept for callers)."""
         return str(self)
-
-    @property
-    def other(self) -> "Domain":
-        """Deprecated: the peer of the canonical two-domain pair.
-
-        Only defined for :attr:`SIMULATOR` / :attr:`ACCELERATOR`; topologies
-        with more (or fewer) domains have no unique "other" side.  Enumerate
-        peers through :class:`repro.core.topology.Topology` instead.
-        """
-        warnings.warn(
-            "Domain.other is deprecated: it is only defined for the canonical "
-            "simulator/accelerator pair. Enumerate peer domains through "
-            "repro.core.topology.Topology instead.",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if self is Domain.SIMULATOR:
-            return Domain.ACCELERATOR
-        if self is Domain.ACCELERATOR:
-            return Domain.SIMULATOR
-        raise ValueError(f"Domain.other is undefined for non-canonical domain {self.value!r}")
 
     def __repr__(self) -> str:
         return f"Domain({str(self)!r})"

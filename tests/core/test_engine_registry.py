@@ -17,7 +17,9 @@ from repro.core import (
     engine_for_mode,
 )
 from repro.core.analytical import AnalyticalConfig, conventional_performance, estimate_performance
+from repro.core.batch import OptimisticBatchCoEmulation
 from repro.core.engine import register_engine
+from repro.core.trace import ConventionalTraceCoEmulation
 from repro.workloads import als_streaming_soc
 
 
@@ -28,7 +30,7 @@ def split():
 
 def test_builtin_engines_are_registered():
     engines = available_engines()
-    assert {"conventional", "optimistic", "analytical"} <= set(engines)
+    assert set(engines) == {"conventional", "optimistic", "analytical"}
     assert engines["conventional"].modes == (OperatingMode.CONSERVATIVE,)
     assert set(engines["optimistic"].modes) == {
         OperatingMode.SLA,
@@ -53,12 +55,12 @@ def test_create_engine_dispatches_on_mode(split):
         sim_hbm,
         acc_hbm,
     )
-    assert isinstance(conservative, ConventionalCoEmulation)
+    assert isinstance(conservative, ConventionalTraceCoEmulation)
     sim_hbm2, acc_hbm2 = als_streaming_soc(n_bursts=4).build_split()[:2]
     optimistic = create_engine(
         CoEmulationConfig(mode=OperatingMode.ALS, total_cycles=10), sim_hbm2, acc_hbm2
     )
-    assert isinstance(optimistic, OptimisticCoEmulation)
+    assert isinstance(optimistic, OptimisticBatchCoEmulation)
     assert isinstance(conservative, Engine)
     assert isinstance(optimistic, Engine)
 
@@ -85,55 +87,14 @@ def test_create_engine_unknown_engine_raises(split):
         )
 
 
-def test_batch_engines_are_registered():
-    engines = available_engines()
-    assert {"conventional_batch", "als_batch"} <= set(engines)
-    # explicit opt-in only: they claim no modes, selection goes through
-    # ``engine=`` or the ``batch_stepping`` config toggle
-    assert engines["conventional_batch"].modes == ()
-    assert engines["als_batch"].modes == ()
-
-
-def test_batch_stepping_toggle_resolves_to_batch_engines(split):
-    from repro.core.batch import ConventionalBatchCoEmulation, OptimisticBatchCoEmulation
-
-    sim_hbm, acc_hbm = split
-    conservative = create_engine(
-        CoEmulationConfig(
-            mode=OperatingMode.CONSERVATIVE, total_cycles=10, batch_stepping=True
-        ),
-        sim_hbm,
-        acc_hbm,
-    )
-    assert isinstance(conservative, ConventionalBatchCoEmulation)
-    sim_hbm2, acc_hbm2 = als_streaming_soc(n_bursts=4).build_split()[:2]
-    optimistic = create_engine(
-        CoEmulationConfig(mode=OperatingMode.ALS, total_cycles=10, batch_stepping=True),
-        sim_hbm2,
-        acc_hbm2,
-    )
-    assert isinstance(optimistic, OptimisticBatchCoEmulation)
-
-
-def test_explicit_engine_override_wins_over_batch_stepping(split):
-    sim_hbm, acc_hbm = split
-    engine = create_engine(
-        CoEmulationConfig(mode=OperatingMode.ALS, total_cycles=10, batch_stepping=True),
-        sim_hbm,
-        acc_hbm,
-        engine="optimistic",
-    )
-    assert type(engine) is OptimisticCoEmulation
-
-
 def test_unknown_engine_error_suggests_nearest_name(split):
     sim_hbm, acc_hbm = split
-    with pytest.raises(EngineRegistryError, match="did you mean 'als_batch'"):
+    with pytest.raises(EngineRegistryError, match="did you mean 'optimistic'"):
         create_engine(
             CoEmulationConfig(mode=OperatingMode.ALS, total_cycles=10),
             sim_hbm,
             acc_hbm,
-            engine="als_bach",
+            engine="optimstic",
         )
 
 

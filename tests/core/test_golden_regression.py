@@ -5,7 +5,9 @@ checkpoints, uncached phase info, list-building channel writes) before the
 hot-path overhaul.  Every digest -- beat-key streams, transition outcomes,
 prediction statistics, per-cycle modelled times and channel traffic -- must
 remain bit-identical: the optimizations are pure mechanics, not modelling
-changes.
+changes.  Every case runs twice: through the scalar reference classes and
+through the engine ``create_engine`` registers for the mode (the path users
+run, with its fast paths).
 
 Regenerate the file only when the *modelled* behaviour is intentionally
 changed (see EXPERIMENTS.md).
@@ -24,6 +26,7 @@ from repro.core import (
     ConventionalCoEmulation,
     OperatingMode,
     OptimisticCoEmulation,
+    create_engine,
 )
 from repro.workloads import (
     als_streaming_soc,
@@ -44,7 +47,7 @@ SPEC_FACTORIES = {
 MODES = {mode.value: mode for mode in OperatingMode}
 
 
-def run_case(key: str):
+def run_case(key: str, registered: bool):
     parts = key.split("/")
     spec_name, mode_name = parts[0], parts[1].lower()
     kwargs = {}
@@ -61,7 +64,9 @@ def run_case(key: str):
             cycles = 350
     sim_hbm, acc_hbm, _ = SPEC_FACTORIES[spec_name]().build_split()
     config = CoEmulationConfig(mode=MODES[mode_name], total_cycles=cycles, **kwargs)
-    if config.mode is OperatingMode.CONSERVATIVE:
+    if registered:
+        engine = create_engine(config, sim_hbm, acc_hbm)
+    elif config.mode is OperatingMode.CONSERVATIVE:
         engine = ConventionalCoEmulation(sim_hbm, acc_hbm, config)
     else:
         engine = OptimisticCoEmulation(sim_hbm, acc_hbm, config)
@@ -86,9 +91,10 @@ def digest(result) -> dict:
     }
 
 
+@pytest.mark.parametrize("registered", [False, True], ids=["reference", "registered"])
 @pytest.mark.parametrize("key", sorted(GOLDEN))
-def test_behaviour_is_bit_identical_to_seed(key):
-    measured = digest(run_case(key))
+def test_behaviour_is_bit_identical_to_seed(key, registered):
+    measured = digest(run_case(key, registered))
     expected = GOLDEN[key]
     mismatched = {
         field: (expected[field], measured[field])

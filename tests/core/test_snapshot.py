@@ -190,18 +190,12 @@ RESUME_POINTS = [
         id="faulty-channel",
     ),
     pytest.param(
-        RunRequest(scenario="mixed", mode="als", cycles=150, engine="als_batch"),
+        RunRequest(scenario="mixed", mode="als", cycles=150),
         50,
         id="batch-engine",
     ),
     pytest.param(
-        RunRequest(
-            scenario="sparse_telemetry",
-            mode="conservative",
-            cycles=200,
-            engine="conventional_trace",
-            config_overrides={"trace_replay": True},
-        ),
+        RunRequest(scenario="sparse_telemetry", mode="conservative", cycles=200),
         80,
         id="trace-engine",
     ),

@@ -1,10 +1,9 @@
-"""Equivalence and behaviour tests for the periodic trace-replay engines.
+"""Equivalence and behaviour tests for periodic trace replay.
 
-The trace engines (``conventional_trace`` / ``als_trace``) claim the same
-contract as the batch kernels: *bit-identity* with their scalar twins on
-every digest field -- beat streams, statistics, per-cycle modelled times
-down to the last float ulp, channel counters -- while fast-forwarding
-periodic busy loops.  These tests sweep every catalog scenario (ideal and
+The registered ``conventional`` engine replays verified steady-state periods
+and claims *bit-identity* with the scalar reference on every digest field --
+beat streams, statistics, per-cycle modelled times down to the last float
+ulp, channel counters.  These tests sweep every catalog scenario (ideal and
 faulty channels, two-domain and multi-domain topologies) and pin down the
 controller's refusal/bailout envelope.
 """
@@ -13,62 +12,36 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import CoEmulationConfig, OperatingMode, create_engine
-from repro.core.trace import (
-    MIN_PERIOD,
-    PERIOD_CAP,
-    ConventionalTraceCoEmulation,
-    OptimisticTraceCoEmulation,
-)
+from repro.core import OperatingMode
+from repro.core.trace import MIN_PERIOD, PERIOD_CAP
 from repro.workloads.catalog import build_scenario, scenario_names
 
-
-def full_digest(result) -> str:
-    """Every field the golden digests hash, rendered bit-exactly."""
-    return repr(
-        (
-            sorted(result.domain_beat_keys.items()),
-            result.committed_cycles,
-            result.transitions,
-            result.prediction,
-            {k: repr(v) for k, v in result.per_cycle_times.items()},
-            repr(result.total_modelled_time),
-            result.channel.get("accesses"),
-            result.channel.get("words"),
-            repr(result.channel.get("total_time")),
-            result.wasted_leader_cycles,
-            result.monitors_ok,
-        )
-    )
+from ..reference import full_digest, run_spec
 
 
-def run_scenario(name, mode, trace_replay, total_cycles=300, **config_kwargs):
-    spec = build_scenario(name)
-    config = CoEmulationConfig(
-        mode=mode, total_cycles=total_cycles, trace_replay=trace_replay, **config_kwargs
-    )
-    config, partition = spec.prepare_run(config)
-    return create_engine(config, partition=partition).run()
+def run_scenario(name, mode, registered, total_cycles=300):
+    return run_spec(build_scenario(name), registered, mode=mode, total_cycles=total_cycles)
 
 
 @pytest.mark.parametrize("name", scenario_names())
 @pytest.mark.parametrize("mode", [OperatingMode.CONSERVATIVE, OperatingMode.ALS])
 def test_trace_engines_are_bit_identical_on_every_scenario(name, mode):
-    """Replay on vs off must agree bit for bit on every catalog scenario."""
+    """Registered engine vs reference must agree bit for bit on every scenario."""
     scalar = run_scenario(name, mode, False)
     traced = run_scenario(name, mode, True)
     assert full_digest(traced) == full_digest(scalar)
-    assert traced.trace_replay  # the trace engines always report their stats
+    # only the conventional engine carries the replay controller
+    assert bool(traced.trace_replay) == (mode is OperatingMode.CONSERVATIVE)
 
 
 def test_replay_fires_on_dense_streaming():
     """The headline case: steady streaming bursts replay almost entirely."""
-    spec = build_scenario("als_streaming", n_bursts=100)
-    config = CoEmulationConfig(
-        mode=OperatingMode.CONSERVATIVE, total_cycles=600, trace_replay=True
+    result = run_spec(
+        build_scenario("als_streaming", n_bursts=100),
+        True,
+        mode=OperatingMode.CONSERVATIVE,
+        total_cycles=600,
     )
-    config, partition = spec.prepare_run(config)
-    result = create_engine(config, partition=partition).run()
     stats = result.trace_replay
     assert stats["enabled"]
     assert stats["verified_periods"] >= 1
@@ -97,54 +70,6 @@ def test_envelope_refusals_are_structured(name, reason):
     assert not stats["enabled"]
     assert stats["replayed_cycles"] == 0
     assert stats["bailouts"] == {reason: 1}
-
-
-def test_als_trace_engine_disables_replay_but_stays_bit_identical():
-    """Optimistic schemes train predictors during conservative cycles; the
-    ALS trace engine reports the refusal instead of silently diverging."""
-    result = run_scenario("als_streaming", OperatingMode.ALS, True)
-    stats = result.trace_replay
-    assert not stats["enabled"]
-    assert stats["bailouts"] == {"predictor_training": 1}
-
-
-def test_config_flag_resolves_to_trace_engines():
-    spec = build_scenario("als_streaming")
-    config = CoEmulationConfig(
-        mode=OperatingMode.CONSERVATIVE, total_cycles=10, trace_replay=True
-    )
-    config, partition = spec.prepare_run(config)
-    engine = create_engine(config, partition=partition)
-    assert isinstance(engine, ConventionalTraceCoEmulation)
-
-    spec = build_scenario("als_streaming")
-    config = CoEmulationConfig(mode=OperatingMode.ALS, total_cycles=10, trace_replay=True)
-    config, partition = spec.prepare_run(config)
-    engine = create_engine(config, partition=partition)
-    assert isinstance(engine, OptimisticTraceCoEmulation)
-
-
-def test_trace_flag_wins_over_batch_stepping():
-    """trace_replay implies the batch run loop; the trace engine extends it."""
-    spec = build_scenario("als_streaming")
-    config = CoEmulationConfig(
-        mode=OperatingMode.CONSERVATIVE,
-        total_cycles=10,
-        batch_stepping=True,
-        trace_replay=True,
-    )
-    config, partition = spec.prepare_run(config)
-    assert isinstance(
-        create_engine(config, partition=partition), ConventionalTraceCoEmulation
-    )
-
-
-def test_explicit_engine_name_is_registered():
-    spec = build_scenario("als_streaming")
-    config = CoEmulationConfig(mode=OperatingMode.CONSERVATIVE, total_cycles=120)
-    config, partition = spec.prepare_run(config)
-    result = create_engine(config, partition=partition, engine="conventional_trace").run()
-    assert result.trace_replay["enabled"]
 
 
 def test_horizon_bailout_is_noted_once():

@@ -8,6 +8,7 @@ tiny and deadlines tight so the suite stays fast.
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -27,6 +28,7 @@ from repro.orchestration import (
     sweep_exit_code,
     write_failures,
 )
+from repro.orchestration import supervisor
 from repro.orchestration.request import RunRecord, RunRequest, canonical_json
 
 REQUEST = RunRequest(scenario="als_streaming", mode="als", cycles=120)
@@ -202,15 +204,17 @@ def test_supervised_timeout_kills_a_hung_run(tmp_path):
     outcome = run_supervised(
         KILLABLE,
         tmp_path / "snaps",
-        policy=SupervisorPolicy(deadline=1.5, max_retries=1),
+        policy=SupervisorPolicy(
+            deadline=1.5, max_retries=1, checkpoint=CheckpointPolicy(every_cycles=10)
+        ),
         chaos=chaos,
         chaos_state_dir=tmp_path / "chaos",
     )
     assert isinstance(outcome, RunFailure)
     assert outcome.kind == "poison"  # retried, hung again, quarantined
     assert all(d["status"] == "timeout" for d in outcome.detail)
-    # The heartbeat told the watchdog how far the hung run got.
-    assert any(d["last_committed"] is not None for d in outcome.detail)
+    # The latest snapshot says how far the hung run got.
+    assert all(d["last_committed"] is not None for d in outcome.detail)
 
 
 def test_supervised_degradation_is_never_retried(tmp_path):
@@ -224,21 +228,44 @@ def test_supervised_degradation_is_never_retried(tmp_path):
     assert outcome.exit_code == EXIT_CODES["degraded"]
 
 
-def test_supervised_failure_record_is_deterministic(tmp_path):
-    chaos = ChaosConfig(seed=3, kill_probability=1.0, once=False)
+class _Clock:
+    """Stand-in for the supervisor module's ``time``: a monotonic clock that
+    advances ``step`` seconds per reading (``0`` = frozen)."""
 
-    def quarantine(subdir):
+    sleep = staticmethod(time.sleep)
+
+    def __init__(self, step):
+        self.now = 1000.0
+        self.step = step
+
+    def monotonic(self):
+        self.now += self.step
+        return self.now
+
+
+def test_supervised_failure_record_is_deterministic(tmp_path, monkeypatch):
+    chaos = ChaosConfig(seed=3, kill_probability=1.0, once=False)
+    # Forked children inherit the patched clock, so anything the child
+    # reports on its own clock would differ between the two quarantines.
+    policy = SupervisorPolicy(
+        max_retries=1, checkpoint=CheckpointPolicy(every_cycles=10), mp_context="fork"
+    )
+
+    def quarantine(subdir, clock_step):
+        monkeypatch.setattr(supervisor, "time", _Clock(clock_step))
         outcome = run_supervised(
             KILLABLE,
             tmp_path / subdir / "snaps",
-            policy=SupervisorPolicy(max_retries=1),
+            policy=policy,
             chaos=chaos,
             chaos_state_dir=tmp_path / subdir / "chaos",
         )
         assert isinstance(outcome, RunFailure)
+        assert all(d["last_committed"] is not None for d in outcome.detail)
         return canonical_json(outcome.as_dict())
 
-    assert quarantine("a") == quarantine("b")  # wall-clock free by design
+    # Wall-clock free by design: a frozen and a racing clock agree.
+    assert quarantine("a", 0.0) == quarantine("b", 60.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
-"""Property-based equivalence: batch-stepped engines vs their scalar twins.
+"""Property-based equivalence: registered engines vs the scalar reference.
 
-The batch-stepping kernel (``conventional_batch`` / ``als_batch``) claims
-*bit-identity*, not just functional equivalence: every digest field the
-golden regression hashes -- beat streams, transition and prediction
-statistics, per-cycle modelled times down to the last float ulp, channel
-counters -- must match the scalar engines exactly, for any workload, any
+The registered engines' fast paths (quiescence fast-forward, batched
+run-ahead and follow-up) claim *bit-identity*, not just functional
+equivalence: every digest field the golden regression hashes -- beat
+streams, transition and prediction statistics, per-cycle modelled times down
+to the last float ulp, channel counters -- must match the scalar reference
+exactly, for any workload, any
 scheme parameters, any topology size and any channel fault schedule.  These
 properties throw randomised configurations at that claim.
 """
@@ -15,41 +16,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.channel.faults import ChannelFaultConfig
-from repro.core import CoEmulationConfig, OperatingMode
-from repro.core.engine import create_engine
+from repro.core import OperatingMode
 from repro.workloads.catalog import accelerator_farm_4x_soc, sim_only_baseline_soc
 
+from ..reference import run_outcome
 from .test_property_equivalence import make_spec
 
 
-def full_digest(result) -> str:
-    """Every field the golden digests hash, rendered bit-exactly."""
-    return repr(
-        (
-            sorted(result.domain_beat_keys.items()),
-            result.committed_cycles,
-            result.transitions,
-            result.prediction,
-            {k: repr(v) for k, v in result.per_cycle_times.items()},
-            repr(result.total_modelled_time),
-            result.channel.get("accesses"),
-            result.channel.get("words"),
-            repr(result.channel.get("total_time")),
-            result.wasted_leader_cycles,
-            result.monitors_ok,
-        )
-    )
-
-
-def run_spec(spec, batch_stepping, **config_kwargs):
-    config = CoEmulationConfig(batch_stepping=batch_stepping, **config_kwargs)
-    config, partition = spec.prepare_run(config)
-    return create_engine(config, partition=partition).run()
-
-
 def assert_batch_bit_identical(spec_factory, **config_kwargs):
-    scalar = full_digest(run_spec(spec_factory(), False, **config_kwargs))
-    batched = full_digest(run_spec(spec_factory(), True, **config_kwargs))
+    _, scalar = run_outcome(spec_factory(), False, **config_kwargs)
+    _, batched = run_outcome(spec_factory(), True, **config_kwargs)
     assert batched == scalar
 
 

@@ -1,6 +1,6 @@
 """Property-based kill-resume: snapshot anywhere, resume, bytes identical.
 
-Hypothesis drives random (scenario, mode, engine, LOB depth, accuracy,
+Hypothesis drives random (scenario, mode, LOB depth, accuracy,
 cycle count, interruption point) tuples through the durable-snapshot path:
 run to a random safe point, snapshot, throw the engine away, restore from
 the file and finish.  The completed record -- canonical JSON, digest and
@@ -27,18 +27,17 @@ from repro.orchestration.request import (
     record_from_result,
 )
 
-#: Workload x engine corners, spanning single/multi-domain topologies, ideal
-#: and faulty channels, and the scalar/batch/trace engine variants.
+#: Workload x mode corners, spanning single/multi-domain topologies, ideal
+#: and faulty channels, idle fast-forward and trace replay.
 CORNERS = [
-    ("single_master", "conservative", None),
-    ("als_streaming", "als", None),
-    ("mixed", "als", None),
-    ("dual_accelerator_pipeline", "als", None),
-    ("lossy_streaming", "als", None),
-    ("degraded_pipeline", "conservative", None),
-    ("mixed", "als", "als_batch"),
-    ("single_master", "conservative", "conventional_batch"),
-    ("sparse_telemetry", "als", "als_trace"),
+    ("single_master", "conservative"),
+    ("als_streaming", "als"),
+    ("mixed", "als"),
+    ("dual_accelerator_pipeline", "als"),
+    ("lossy_streaming", "als"),
+    ("degraded_pipeline", "conservative"),
+    ("sparse_telemetry", "als"),
+    ("als_streaming", "conservative"),
 ]
 
 
@@ -68,18 +67,14 @@ def _finish(request, engine):
 def test_snapshot_resume_bit_identical(
     tmp_path_factory, corner, cycles, cut, lob_depth, accuracy, seed
 ):
-    scenario, mode, engine_name = corner
+    scenario, mode = corner
     request = RunRequest(
         scenario=scenario,
         mode=mode,
         cycles=cycles,
         lob_depth=lob_depth,
         accuracy=accuracy if mode == "als" else None,
-        engine=engine_name,
         seed=seed,
-        config_overrides={"trace_replay": True}
-        if engine_name and engine_name.endswith("_trace")
-        else {},
     )
     baseline = _finish(request, build_request_engine(request))
 

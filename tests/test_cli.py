@@ -99,11 +99,11 @@ def test_run_command_profile_top_zero_disables_table(capsys, tmp_path):
     assert target.exists()  # the dump itself is unaffected
 
 
-def test_run_command_batch_engine(capsys):
+def test_run_command_explicit_engine(capsys):
     out = run_cli(
-        capsys, "run", "--cycles", "150", "--mode", "als", "--engine", "als_batch"
+        capsys, "run", "--cycles", "150", "--mode", "sla", "--engine", "optimistic"
     )
-    assert "als_batch" in out
+    assert "optimistic" in out
     assert "performance" in out
 
 
@@ -136,8 +136,8 @@ def test_scenarios_command_tag_filter(capsys):
 def test_scenarios_command_engine_column(capsys):
     out = run_cli(capsys, "scenarios", "--engine")
     assert "engines" in out
-    assert "als_batch" in out
-    assert "conventional_batch" in out
+    assert "optimistic" in out
+    assert "conventional" in out
     # pseudo-engines that never touch the mechanism are excluded
     assert "analytical" not in out
 

@@ -15,6 +15,8 @@ from repro.workloads.catalog import (
     scenario_names,
 )
 
+from ..reference import full_digest, run_spec
+
 
 def test_catalog_has_at_least_eight_scenarios():
     names = scenario_names()
@@ -95,33 +97,14 @@ def test_new_scenarios_keep_functional_equivalence(name):
 @pytest.mark.parametrize("name", scenario_names())
 @pytest.mark.parametrize("mode", [OperatingMode.CONSERVATIVE, OperatingMode.ALS])
 def test_batch_engines_are_bit_identical_on_every_scenario(name, mode):
-    """The batch-stepped engines must reproduce the scalar engines bit for
+    """The registered engines must reproduce the scalar reference bit for
     bit -- beat streams, statistics and modelled times down to the last float
     -- on every catalog scenario, ideal-channel and faulty alike."""
-    digests = {}
-    for batch_stepping in (False, True):
-        spec = build_scenario(name)
-        config = CoEmulationConfig(
-            mode=mode, total_cycles=120, batch_stepping=batch_stepping
-        )
-        config, partition = spec.prepare_run(config)
-        result = create_engine(config, partition=partition).run()
-        digests[batch_stepping] = repr(
-            (
-                sorted(result.domain_beat_keys.items()),
-                result.committed_cycles,
-                result.transitions,
-                result.prediction,
-                {k: repr(v) for k, v in result.per_cycle_times.items()},
-                repr(result.total_modelled_time),
-                result.channel.get("accesses"),
-                result.channel.get("words"),
-                repr(result.channel.get("total_time")),
-                result.wasted_leader_cycles,
-                result.monitors_ok,
-            )
-        )
-    assert digests[True] == digests[False]
+    digests = [
+        full_digest(run_spec(build_scenario(name), registered, mode=mode, total_cycles=120))
+        for registered in (False, True)
+    ]
+    assert digests[1] == digests[0]
 
 
 def test_faulty_tag_lists_the_degraded_scenarios():
