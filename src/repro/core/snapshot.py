@@ -38,7 +38,7 @@ import pickle
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Optional, Tuple, Union
+from typing import Any, BinaryIO, Optional, Tuple, Union
 
 #: First bytes of every snapshot file; also the format's ASCII fingerprint.
 SNAPSHOT_MAGIC = b"#repro-snapshot\n"
@@ -194,6 +194,52 @@ def write_snapshot(
     return meta
 
 
+def _read_header(handle: BinaryIO, path: Path) -> SnapshotMeta:
+    """Parse and check the magic and header line; leaves ``handle`` at the payload."""
+    if handle.read(len(SNAPSHOT_MAGIC)) != SNAPSHOT_MAGIC:
+        raise SnapshotError(f"{path} is not a snapshot file (bad magic)")
+    line = handle.readline()
+    if not line.endswith(b"\n"):
+        raise SnapshotError(f"{path} is truncated (no header line)")
+    try:
+        header = json.loads(line.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise SnapshotError(f"{path} has a corrupt header: {exc}") from None
+    meta = SnapshotMeta.from_dict(header)
+    if meta.version != SNAPSHOT_VERSION:
+        raise SnapshotError(
+            f"{path} was written by snapshot format v{meta.version}; "
+            f"this reader supports v{SNAPSHOT_VERSION}"
+        )
+    return meta
+
+
+def _check_length(path: Path, meta: SnapshotMeta, payload_length: int) -> None:
+    if payload_length != meta.payload_length:
+        raise SnapshotError(
+            f"{path} payload is {payload_length} byte(s), header promises "
+            f"{meta.payload_length} (truncated or overwritten)"
+        )
+
+
+def read_snapshot_meta(path: Union[str, Path]) -> SnapshotMeta:
+    """The verified header of one snapshot file, without loading the engine.
+
+    Checks the magic, the format version and the payload length, so a torn
+    or foreign file is rejected; the payload digest and the unpickle are
+    left to :func:`read_snapshot`.
+    """
+    path = Path(path)
+    try:
+        with path.open("rb") as handle:
+            meta = _read_header(handle, path)
+            payload_length = os.fstat(handle.fileno()).st_size - handle.tell()
+    except FileNotFoundError:
+        raise SnapshotError(f"no snapshot at {path}") from None
+    _check_length(path, meta, payload_length)
+    return meta
+
+
 def read_snapshot(path: Union[str, Path]) -> Tuple[SnapshotMeta, Any]:
     """Load and verify one snapshot file; returns ``(meta, engine)``.
 
@@ -203,31 +249,12 @@ def read_snapshot(path: Union[str, Path]) -> Tuple[SnapshotMeta, Any]:
     """
     path = Path(path)
     try:
-        data = path.read_bytes()
+        with path.open("rb") as handle:
+            meta = _read_header(handle, path)
+            payload = handle.read()
     except FileNotFoundError:
         raise SnapshotError(f"no snapshot at {path}") from None
-    if not data.startswith(SNAPSHOT_MAGIC):
-        raise SnapshotError(f"{path} is not a snapshot file (bad magic)")
-    body = data[len(SNAPSHOT_MAGIC):]
-    newline = body.find(b"\n")
-    if newline < 0:
-        raise SnapshotError(f"{path} is truncated (no header line)")
-    try:
-        header = json.loads(body[:newline].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise SnapshotError(f"{path} has a corrupt header: {exc}") from None
-    meta = SnapshotMeta.from_dict(header)
-    if meta.version != SNAPSHOT_VERSION:
-        raise SnapshotError(
-            f"{path} was written by snapshot format v{meta.version}; "
-            f"this reader supports v{SNAPSHOT_VERSION}"
-        )
-    payload = body[newline + 1:]
-    if len(payload) != meta.payload_length:
-        raise SnapshotError(
-            f"{path} payload is {len(payload)} byte(s), header promises "
-            f"{meta.payload_length} (truncated or overwritten)"
-        )
+    _check_length(path, meta, len(payload))
     digest = hashlib.sha256(payload).hexdigest()
     if digest != meta.payload_sha256:
         raise SnapshotError(f"{path} fails its payload digest check")

@@ -46,7 +46,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..channel.faults import ChannelDegradedError
-from ..core.snapshot import SnapshotError, read_snapshot
+from ..core.snapshot import SnapshotError, read_snapshot_meta
 from .chaos import ChaosConfig, ChaosMonkey
 from .durable import CheckpointPolicy, execute_request_durable, snapshot_path
 from .request import RunRecord, RunRequest, canonical_json
@@ -233,7 +233,7 @@ def _snapshot_cycle(snapshot_dir: Path, request_id: str) -> Optional[int]:
     child could report on its own clock.
     """
     try:
-        meta, _ = read_snapshot(snapshot_path(snapshot_dir, request_id))
+        meta = read_snapshot_meta(snapshot_path(snapshot_dir, request_id))
     except (OSError, SnapshotError):
         return None
     return meta.committed_cycles

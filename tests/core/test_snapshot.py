@@ -22,6 +22,7 @@ from repro.core.snapshot import (
     SnapshotMeta,
     load_engine,
     read_snapshot,
+    read_snapshot_meta,
     write_snapshot,
 )
 from repro.orchestration.request import (
@@ -137,6 +138,25 @@ def test_read_snapshot_rejects_future_version(tmp_path):
     path.write_bytes(SNAPSHOT_MAGIC + new_header + data[header_end:])
     with pytest.raises(SnapshotError, match="format v2"):
         read_snapshot(path)
+
+
+def test_read_snapshot_meta_reads_the_header_without_the_engine(tmp_path):
+    request = RunRequest(scenario="single_master", mode="conservative", cycles=60)
+    engine = _interrupt(request, at_cycle=20)
+    path = tmp_path / "run.snap"
+    meta = write_snapshot(path, engine, request_id=request.request_id)
+    assert read_snapshot_meta(path) == meta
+    # The payload is neither digested nor unpickled: a flipped pickle byte
+    # still yields the header, while a torn tail does not.
+    data = bytearray(path.read_bytes())
+    data[-10] ^= 0xFF
+    path.write_bytes(bytes(data))
+    assert read_snapshot_meta(path) == meta
+    path.write_bytes(bytes(data[:-40]))
+    with pytest.raises(SnapshotError, match="truncated"):
+        read_snapshot_meta(path)
+    with pytest.raises(SnapshotError, match="no snapshot"):
+        read_snapshot_meta(tmp_path / "nope.snap")
 
 
 def test_meta_from_dict_rejects_missing_fields():

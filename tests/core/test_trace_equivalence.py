@@ -23,12 +23,15 @@ def run_scenario(name, mode, registered, total_cycles=300):
     return run_spec(build_scenario(name), registered, mode=mode, total_cycles=total_cycles)
 
 
+@pytest.mark.parametrize("total_cycles", [120, 300])
 @pytest.mark.parametrize("name", scenario_names())
 @pytest.mark.parametrize("mode", [OperatingMode.CONSERVATIVE, OperatingMode.ALS])
-def test_trace_engines_are_bit_identical_on_every_scenario(name, mode):
-    """Registered engine vs reference must agree bit for bit on every scenario."""
-    scalar = run_scenario(name, mode, False)
-    traced = run_scenario(name, mode, True)
+def test_registered_engines_are_bit_identical_on_every_scenario(name, mode, total_cycles):
+    """Registered engine vs reference must agree bit for bit on every catalog
+    scenario, ideal-channel and faulty alike, at a short and a replaying run
+    length."""
+    scalar = run_scenario(name, mode, False, total_cycles)
+    traced = run_scenario(name, mode, True, total_cycles)
     assert full_digest(traced) == full_digest(scalar)
     # only the conventional engine carries the replay controller
     assert bool(traced.trace_replay) == (mode is OperatingMode.CONSERVATIVE)
