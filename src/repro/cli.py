@@ -29,8 +29,9 @@ import argparse
 import json
 import sys
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from .analysis.artifacts import run_pipeline, write_artifacts
 from .analysis.fleet import render_fleet_stats
@@ -62,7 +63,6 @@ from .orchestration import (
     RunFailure,
     RunRequest,
     RunStore,
-    SupervisorPolicy,
     execute_request,
     execute_request_durable,
     failures_path,
@@ -70,9 +70,8 @@ from .orchestration import (
     load_quarantine,
     plan_resume,
     quarantine_report,
+    reconcile,
     run_fleet,
-    run_supervised,
-    run_supervised_batch,
     run_worker,
     sweep_exit_code,
     write_failures,
@@ -148,6 +147,22 @@ def _chaos_config(args: argparse.Namespace) -> Optional[ChaosConfig]:
         hang_seconds=args.chaos_hang_seconds,
         once=not args.chaos_every_attempt,
     )
+
+
+def _max_retries(args: argparse.Namespace) -> int:
+    """``--max-retries``, defaulting to 2 once supervision is active."""
+    return 2 if args.max_retries is None else args.max_retries
+
+
+@contextmanager
+def _fleet_dir(path: Optional[str]) -> Iterator[str]:
+    """The supervising fleet's working directory: ``path`` when given (and
+    kept), else a temporary directory removed on exit, success or failure."""
+    if path is not None:
+        yield path
+        return
+    with tempfile.TemporaryDirectory(prefix="repro-fleet-") as scratch:
+        yield scratch
 
 
 def _render_failures(failures: List[RunFailure], title: str) -> str:
@@ -414,27 +429,30 @@ def _cmd_run(args: argparse.Namespace) -> Union[str, Tuple[str, int]]:
             )
     checkpoint = _checkpoint_policy(args)
     if args.deadline is not None or args.max_retries is not None:
-        # Supervised: the attempt runs in a watchdogged child and retries
-        # resume from the latest snapshot.  Without --snapshot-dir the
-        # snapshots are scoped to this invocation (retries still resume).
-        policy = SupervisorPolicy(
-            deadline=args.deadline,
-            max_retries=2 if args.max_retries is None else args.max_retries,
-            checkpoint=checkpoint or CheckpointPolicy(),
-        )
-        snapshot_dir = args.snapshot_dir or tempfile.mkdtemp(prefix="repro-snap-")
-        outcome = run_supervised(request, snapshot_dir, policy=policy)
-        if isinstance(outcome, RunFailure):
+        # Supervised: a one-point fleet runs the attempt in a worker process
+        # under the deadline, and retries resume from the latest snapshot.
+        with _fleet_dir(args.snapshot_dir) as root:
+            records, stats = run_fleet(
+                [request],
+                root,
+                workers=1,
+                checkpoint=checkpoint,
+                max_retries=_max_retries(args),
+                deadline=args.deadline,
+            )
+            failures = load_quarantine(root, stats.sweep_id)
+        if failures:
+            failure = failures[0]
             print(
-                f"run: {outcome.kind} after {outcome.attempts} attempt(s): "
-                f"{outcome.message.splitlines()[-1] if outcome.message else '-'}",
+                f"run: {failure.kind} after {failure.attempts} attempt(s): "
+                f"{failure.message.splitlines()[-1] if failure.message else '-'}",
                 file=sys.stderr,
             )
             return (
-                _render_failures([outcome], title=f"Run quarantined on '{args.soc}'"),
-                outcome.exit_code,
+                _render_failures(failures, title=f"Run quarantined on '{args.soc}'"),
+                failure.exit_code,
             )
-        record = outcome
+        record = records[0]
     elif checkpoint is not None or args.snapshot_dir is not None:
         # Durable (unsupervised): write snapshots, resume from a leftover
         # one if a previous invocation was interrupted mid-run.
@@ -538,97 +556,60 @@ def _cmd_sweep(args: argparse.Namespace) -> Union[str, Tuple[str, int]]:
     cache = ResultCache(args.cache) if args.cache else None
     store = RunStore(args.output) if args.output else None
     runner = BatchRunner(jobs=args.jobs)
-    checkpoint = _checkpoint_policy(args)
     chaos = _chaos_config(args)
-    max_retries = 2 if args.max_retries is None else args.max_retries
-    supervised = (
-        args.deadline is not None
+    failures: List[RunFailure] = []
+    if args.fleet is not None and not args.cache:
+        raise ValueError(
+            "--fleet requires --cache (the shared coordination directory)"
+        )
+    if args.fleet is not None and args.jobs != 1:
+        raise ValueError(
+            "--fleet and --jobs are mutually exclusive (fleet workers are "
+            "processes already)"
+        )
+    fleet = (
+        args.fleet is not None
+        or args.deadline is not None
         or args.max_retries is not None
         or chaos is not None
     )
-    failures: List[RunFailure] = []
-    if args.fleet is not None:
-        if not args.cache:
-            raise ValueError(
-                "--fleet requires --cache (the shared coordination directory)"
+    if fleet:
+        # Supervised or distributed: fleet workers execute, then reconcile
+        # (reusing any intact --output records, like --resume) writes the
+        # store.
+        with _fleet_dir(args.cache or args.snapshot_dir) as root:
+            records, fleet_stats = run_fleet(
+                requests,
+                cache_dir=root,
+                workers=args.jobs if args.fleet is None else args.fleet,
+                store=store,
+                ttl=args.fleet_ttl,
+                poll_interval=args.fleet_poll,
+                kill_after=args.fleet_kill_after,
+                checkpoint=_checkpoint_policy(args),
+                chaos=chaos,
+                max_retries=_max_retries(args),
+                deadline=args.deadline,
+                log=lambda message: print(f"fleet: {message}", file=sys.stderr),
             )
-        if args.resume:
-            raise ValueError(
-                "--fleet already reconciles crash-tolerantly; drop --resume"
-            )
-        if args.jobs != 1:
-            raise ValueError(
-                "--fleet and --jobs are mutually exclusive (fleet workers are "
-                "processes already)"
-            )
-        if args.deadline is not None:
-            raise ValueError(
-                "--deadline supervises local child processes; fleet workers "
-                "use lease stealing instead (tune --fleet-ttl)"
-            )
-        records, fleet_stats = run_fleet(
-            requests,
-            cache_dir=args.cache,
-            workers=args.fleet,
-            store=store,
-            ttl=args.fleet_ttl,
-            poll_interval=args.fleet_poll,
-            kill_after=args.fleet_kill_after,
-            checkpoint=checkpoint,
-            chaos=chaos,
-            max_retries=max_retries,
-            log=lambda message: print(f"fleet: {message}", file=sys.stderr),
-        )
-        failures = load_quarantine(args.cache, fleet_stats.sweep_id)
+            failures = load_quarantine(root, fleet_stats.sweep_id)
         # Operational stats go to stderr: stdout must stay byte-identical
         # to the same grid swept with --jobs 1.
         print(render_fleet_stats(fleet_stats), file=sys.stderr)
         print(f"fleet: {fleet_stats.summary()}", file=sys.stderr)
-    elif supervised:
-        if args.resume:
-            raise ValueError(
-                "--resume cannot combine with supervision; supervised sweeps "
-                "already resume retries from their own snapshots"
-            )
-        policy = SupervisorPolicy(
-            deadline=args.deadline,
-            max_retries=max_retries,
-            checkpoint=checkpoint or CheckpointPolicy(),
-        )
-        snapshot_dir = args.snapshot_dir or tempfile.mkdtemp(prefix="repro-snap-")
-        records, failures = run_supervised_batch(
-            requests,
-            snapshot_dir,
-            policy=policy,
-            jobs=args.jobs,
-            cache=cache,
-            chaos=chaos,
-            chaos_state_dir=str(Path(snapshot_dir) / "chaos"),
-        )
-        print(
-            f"supervise: {len(records)} record(s), "
-            f"{len(failures)} quarantined",
-            file=sys.stderr,
-        )
     elif args.resume:
         if store is None:
             raise ValueError("--resume requires --output (the store to resume)")
-        plan = plan_resume(requests, store)
-        executed = runner.run(plan.missing, cache=cache)
-        by_id = dict(plan.reusable)
-        for record in executed:
-            by_id[record.request_id] = record
+        print(f"resume: {plan_resume(requests, store).summary()}", file=sys.stderr)
         # Rewriting the whole store in grid order makes a resumed store
         # byte-identical to one produced by an uninterrupted sweep.
-        records = [by_id[request.request_id] for request in requests]
-        print(f"resume: {plan.summary()}", file=sys.stderr)
+        records = reconcile(requests, cache, store, runner=runner)
     else:
         records = runner.run(requests, cache=cache)
-    if cache is not None and args.fleet is None:
+        if store is not None:
+            store.write(records)
+    if cache is not None and not fleet:
         print(f"cache: {cache.stats.summary()}", file=sys.stderr)
-    if store is not None and args.fleet is None:
-        # The fleet path's reconciliation already wrote the store.
-        store.write(records)
     if store is not None:
         # Failures go to a sidecar, never the store: the store's bytes stay
         # identical to a fully healthy serial sweep.  An empty failure list
@@ -688,7 +669,7 @@ def _cmd_worker(args: argparse.Namespace) -> str:
         poll_interval=args.poll,
         kill_after=args.kill_after,
         checkpoint=_checkpoint_policy(args),
-        max_retries=2 if args.max_retries is None else args.max_retries,
+        max_retries=_max_retries(args),
         drain_on_signal=args.drain_on_signal,
     )
     return render_fleet_stats(stats)
@@ -747,15 +728,17 @@ def _add_supervision_args(parser: argparse.ArgumentParser) -> None:
     _add_checkpoint_args(parser)
     parser.add_argument(
         "--snapshot-dir", default=None, metavar="DIR",
-        help="where durable snapshots live (default: '.repro-snapshots' for "
-             "plain durable runs, a fresh temporary directory under "
-             "supervision)",
+        help="where durable snapshots live (default '.repro-snapshots'); "
+             "under supervision without a sweep --cache, the kept working "
+             "directory of the supervising fleet (snapshots, attempt "
+             "ledger, results) -- without either, a temporary one is used "
+             "and removed on exit",
     )
     parser.add_argument(
         "--deadline", type=float, default=None, metavar="SECONDS",
-        help="supervise: run each attempt in a child process and SIGKILL it "
-             "past this wall-clock budget (exit code 10 when it times out "
-             "for good)",
+        help="supervise: execute in fleet worker processes that SIGKILL "
+             "themselves when an attempt runs past this wall-clock budget "
+             "(exit code 10 when it times out for good)",
     )
     parser.add_argument(
         "--max-retries", type=int, default=None, metavar="N",
@@ -895,7 +878,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("--lob-depths", type=int, nargs="+", default=[64])
     sweep.add_argument("--cycles", type=int, default=300)
-    sweep.add_argument("--jobs", type=int, default=1, help="worker processes")
+    sweep.add_argument(
+        "--jobs", type=int, default=1,
+        help="worker processes (fleet workers when supervised)",
+    )
     sweep.add_argument("--seed", type=int, default=2005, help="base seed for the grid")
     sweep.add_argument(
         "--engine", default=None,
@@ -918,12 +904,14 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--output", default=None, metavar="PATH",
                        help="write records to a JSON-lines run store")
     sweep.add_argument("--cache", default=None, metavar="DIR",
-                       help="content-addressed result cache; hits skip execution")
+                       help="content-addressed result cache; hits skip execution "
+                            "(also the fleet directory of supervised sweeps)")
     sweep.add_argument(
         "--resume", action="store_true",
         help="reuse intact records already in --output and execute only the "
              "grid points that are missing (tolerates a torn/partial store); "
-             "the store is rewritten to exactly this grid",
+             "the store is rewritten to exactly this grid (supervised and "
+             "fleet sweeps always do this)",
     )
     sweep.add_argument(
         "--fleet", type=int, default=None, metavar="N",
@@ -1032,7 +1020,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         result = args.func(args)
         # Commands report structured outcomes as (text, exit_code); plain
-        # strings mean success.  The codes are the supervisor taxonomy
+        # strings mean success.  The codes are the failure taxonomy
         # (timeout 10, crash 11, poison 12, degraded 13) so scripts and CI
         # branch on *what* failed without parsing output.
         code = 0

@@ -400,7 +400,7 @@ class CoEmulationEngineBase:
         self._last_grant: Optional[int] = None
         #: Optional per-safe-point callable ``hook(engine)``, invoked by the
         #: run loops between committed transitions (never mid-transition).
-        #: This is where durable snapshots, watchdog heartbeats, chaos
+        #: This is where durable snapshots, lease heartbeats, chaos
         #: injection and graceful-drain aborts attach; ``None`` (the default)
         #: costs one attribute read per safe point.  Hooks are host-local
         #: plumbing, never modelled state: they are stripped before a

@@ -16,12 +16,11 @@ canonical JSONL encoding the run store uses:
 * every line is verified against the record's embedded digest on load --
   damaged or torn lines are dropped (and counted), never served;
 * shard rewrites are atomic (temp file + rename) and re-merge the on-disk
-  shard first, so an interrupted writer can never tear a shard and
-  concurrent sweeps sharing one cache directory cannot corrupt it.  The
-  cache is *best-effort* under concurrent writers, not transactional: two
-  simultaneous rewrites of the same shard can lose one writer's new
-  entries (they are simply re-executed and re-stored later), but a served
-  entry is always a verified, complete record.
+  shard first while holding the cache's exclusive lock file
+  (:data:`LOCK_NAME`, :func:`fcntl.flock`), so an interrupted writer can
+  never tear a shard and concurrent writers sharing one cache directory --
+  fleet workers, parallel sweeps -- never drop each other's entries.  A
+  served entry is always a verified, complete record.
 
 :func:`plan_resume` handles the complementary problem: an interrupted sweep
 left a *partial* run store, and the re-run should execute only the missing
@@ -31,7 +30,9 @@ grid by ``request_id`` and returns what to reuse and what to run.
 
 from __future__ import annotations
 
+import fcntl
 import logging
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
@@ -45,6 +46,11 @@ logger = logging.getLogger(__name__)
 #: give 256 shards: small sweeps stay in a handful of files, huge caches
 #: still keep individual shard files (and their in-memory indexes) small.
 SHARD_CHARS = 2
+
+#: Lock file serialising shard rewrites across processes.  One per cache
+#: rather than one per shard: a cold sweep stores into ~130 shards at once,
+#: and a lock file per shard would add a file creation to each rewrite.
+LOCK_NAME = "cache.lock"
 
 
 @dataclass
@@ -184,6 +190,14 @@ class ResultCache:
             return
         self.stats.quarantined += len(damaged)
 
+    @contextmanager
+    def _locked(self) -> Iterator[None]:
+        """Hold the cache's exclusive cross-process lock for shard rewrites."""
+        self.root.mkdir(parents=True, exist_ok=True)
+        with (self.root / LOCK_NAME).open("a") as handle:
+            fcntl.flock(handle, fcntl.LOCK_EX)
+            yield  # closing the handle releases the lock
+
     def _write_shard(self, shard_key: str, index: Dict[str, RunRecord]) -> None:
         path = self.root / f"{shard_key}.jsonl"
         atomic_write_text(
@@ -230,27 +244,29 @@ class ResultCache:
         cached under its id is never overwritten, which keeps a warm cache's
         bytes stable under repeated identical sweeps.
 
-        Each touched shard is re-read from disk before the rewrite, so
-        entries stored by another process since this instance's last read
-        are preserved rather than clobbered from a stale in-memory index
-        (closing all but the read-to-rename window of the lost-update race).
+        Each touched shard is re-read from disk and rewritten while holding
+        the cache's lock file, so entries stored by another process since
+        this instance's last read are merged rather than clobbered.
         """
         by_shard: Dict[str, List[RunRecord]] = {}
         for record in records:
             by_shard.setdefault(record.request_id[:SHARD_CHARS], []).append(record)
+        if not by_shard:
+            return 0
         stored = 0
-        for shard_key, shard_records in by_shard.items():
-            self._shards.pop(shard_key, None)  # re-merge with on-disk state
-            index = self._load_shard(shard_key)
-            fresh = []
-            for record in shard_records:
-                if record.request_id not in index:
-                    index[record.request_id] = record
-                    fresh.append(record)
-            if not fresh:
-                continue
-            self._write_shard(shard_key, index)
-            stored += len(fresh)
+        with self._locked():
+            for shard_key, shard_records in by_shard.items():
+                self._shards.pop(shard_key, None)  # re-merge with on-disk state
+                index = self._load_shard(shard_key)
+                fresh = []
+                for record in shard_records:
+                    if record.request_id not in index:
+                        index[record.request_id] = record
+                        fresh.append(record)
+                if not fresh:
+                    continue
+                self._write_shard(shard_key, index)
+                stored += len(fresh)
         self.stats.stores += stored
         return stored
 

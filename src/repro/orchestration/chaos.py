@@ -5,9 +5,9 @@ CI pass, not just when production misbehaves.  This module injects the three
 failure classes the durable-execution layer must survive, *deterministically*:
 
 * **kill** -- the executing process SIGKILLs itself at a mid-run safe point
-  (the fleet steal path and the supervisor's crash retry must recover);
+  (the fleet's steal path and crash retry must recover);
 * **hang** -- the run sleeps past its deadline / lease TTL at a safe point
-  (the watchdog timeout and the lease steal must fire);
+  (the worker's deadline and the lease steal must fire);
 * **disk_full** -- the next durable snapshot write raises ``ENOSPC`` (the
   run must continue; snapshots are an optimisation, never a correctness
   requirement).

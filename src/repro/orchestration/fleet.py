@@ -17,12 +17,17 @@ directory -- without a coordinator process:
 
 Workers are stateless and interchangeable: each loops over the grid, skips
 points already in the cache, claims and executes misses, and exits when the
-grid is fully cached.  :func:`run_fleet` is the convenience driver behind
-``repro sweep --fleet N``: it publishes the manifest, spawns N local worker
-processes, restarts crashed ones, and finishes with a **reconciliation
-pass** built on the same :func:`~repro.orchestration.cache.plan_resume` that
-``sweep --resume`` uses -- so a sweep interrupted at any point (mid-shard
-write, mid-claim, mid-store rewrite) converges to an output store
+grid is fully cached or quarantined.  Supervision lives in the worker too: a
+per-attempt deadline, retries that resume from the latest snapshot, and a
+shared **attempt ledger** from which the failure record of a quarantined
+point (timeout, crash, poison or degraded) is built.
+
+:func:`run_fleet` is the driver behind ``repro sweep --fleet N`` and behind
+every supervised ``repro run`` / ``repro sweep`` (``--deadline``,
+``--max-retries``, chaos): it publishes the manifest, spawns N local worker
+processes, restarts dead ones, and finishes with :func:`reconcile` -- the
+same operation as ``sweep --resume`` -- so a sweep interrupted at any point
+(mid-shard write, mid-claim, mid-store rewrite) converges to an output store
 byte-identical to a ``--jobs 1`` run of the same grid.
 """
 
@@ -32,19 +37,24 @@ import json
 import multiprocessing
 import os
 import signal
-import tempfile
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..channel.faults import ChannelDegradedError
-from ..core.snapshot import AbortRun
+from ..core.snapshot import AbortRun, SnapshotError, read_snapshot_meta
 from .cache import ResultCache, plan_resume
 from .chaos import ChaosConfig, ChaosMonkey
 from .claims import DEFAULT_LEASE_TTL, ClaimBoard
-from .durable import CheckpointPolicy, DurableRunEvents, execute_request_durable
+from .durable import (
+    CheckpointPolicy,
+    DurableRunEvents,
+    execute_request_durable,
+    snapshot_path,
+)
 from .request import RunRecord, RunRequest, canonical_json, _sha256
 from .runner import BatchRunner
 from .store import RunStore, atomic_write_text
@@ -93,7 +103,8 @@ def chaos_state_dir(cache_root: Union[str, Path]) -> Path:
 
 
 def attempts_dir(cache_root: Union[str, Path], sweep_id: str) -> Path:
-    """Cross-worker attempt ledger: one marker file per execution attempt."""
+    """Cross-worker attempt ledger: per point, one ``NNNN.attempt`` entry per
+    execution attempt, numbered in start order, recording how it ended."""
     return fleet_dir(cache_root) / "attempts" / sweep_id
 
 
@@ -137,29 +148,101 @@ def load_quarantine(
     return failures
 
 
-def _count_attempts(
-    cache_root: Union[str, Path], sweep_id: str, request_id: str
-) -> int:
-    directory = attempts_dir(cache_root, sweep_id) / request_id
-    if not directory.is_dir():
-        return 0
-    return sum(1 for _ in directory.glob("*.attempt"))
+def _snapshot_cycle(snapshot_root: Path, request_id: str) -> Optional[int]:
+    """Committed cycle of the point's latest durable snapshot, if any.
+
+    Deterministic under a cycle-based checkpoint policy, unlike anything a
+    worker could report on its own clock.  Reads only the snapshot header,
+    never the pickled engine.
+    """
+    try:
+        meta = read_snapshot_meta(snapshot_path(snapshot_root, request_id))
+    except (OSError, SnapshotError):
+        return None
+    return meta.committed_cycles
 
 
-def _record_attempt(
-    cache_root: Union[str, Path], sweep_id: str, request_id: str, owner: str
-) -> None:
-    """Durably mark "an execution of this point is starting".
+def _begin_attempt(directory: Path, number: int) -> Path:
+    """Durably mark "execution attempt ``number`` of this point is starting".
 
     Written *before* executing, so an attempt that SIGKILLs its worker still
     counts -- that persistence is what lets the surviving workers recognise
-    a poison point (attempt markers pile up without a cached record) and
-    quarantine it instead of dying one by one forever.
+    a poison point (attempts pile up without a cached record) and quarantine
+    it instead of dying one by one forever.
     """
-    directory = attempts_dir(cache_root, sweep_id) / request_id
     directory.mkdir(parents=True, exist_ok=True)
-    fd, _ = tempfile.mkstemp(dir=str(directory), prefix=f"{owner}.", suffix=".attempt")
-    os.close(fd)
+    while True:
+        path = directory / f"{number:04d}.attempt"
+        try:
+            os.close(os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+            return path
+        except FileExistsError:  # a concurrent (stolen) attempt took it
+            number += 1
+
+
+def _end_attempt(
+    path: Path,
+    status: str,
+    snapshot_root: Path,
+    request_id: str,
+    error: Optional[str] = None,
+) -> Dict[str, object]:
+    """Record how an attempt ended: its status and how far it got."""
+    entry: Dict[str, object] = {
+        "status": status,
+        "last_committed": _snapshot_cycle(snapshot_root, request_id),
+    }
+    if error is not None:
+        entry["error"] = error
+    atomic_write_text(path, canonical_json(entry) + "\n")
+    return entry
+
+
+def _read_attempts(
+    directory: Path, snapshot_root: Path, request_id: str
+) -> List[Dict[str, object]]:
+    """Every attempt at one point, in start order, as failure-record detail.
+
+    Only the lease holder reads the ledger, so an attempt that never recorded
+    an outcome belongs to a worker that died holding the lease (a SIGKILL, a
+    chaos kill): it is closed here as a ``crash``, with ``last_committed``
+    read from the snapshot that attempt left behind.
+    """
+    history = []
+    for number, path in enumerate(sorted(directory.glob("*.attempt"))):
+        try:
+            entry = json.loads(path.read_text())
+        except ValueError:  # empty marker: the attempt's process died
+            entry = _end_attempt(path, "crash", snapshot_root, request_id)
+        history.append({"attempt": number, **entry})
+    return history
+
+
+def _failure(
+    request: RunRequest, history: List[Dict[str, object]], max_retries: int
+) -> RunFailure:
+    """The quarantine record of a point whose attempts all failed.
+
+    ``degraded`` is deterministic and never retried, so it keeps its kind;
+    with ``max_retries == 0`` the single attempt keeps its own kind
+    (``timeout`` or ``crash``); burned retries make the point ``poison``.
+    """
+    last = str(history[-1]["status"])
+    kind = last if last == "degraded" or max_retries == 0 else "poison"
+    message = next(
+        (str(entry["error"]) for entry in reversed(history) if entry.get("error")),
+        f"{last} after {len(history)} attempt(s)",
+    )
+    return RunFailure(
+        request_id=request.request_id,
+        label=request.display_label(),
+        scenario=request.scenario,
+        mode=request.mode,
+        kind=kind,
+        attempts=len(history),
+        message=message,
+        detail=history,
+    )
 
 
 def sweep_id_for(requests: Sequence[RunRequest]) -> str:
@@ -280,6 +363,12 @@ class _HeartbeatPump:
     because the engine loop stamps progress at every safe point.  A steal
     provoked by a merely-slow cycle stays benign: runs are deterministic,
     both executions publish byte-identical records.
+
+    ``deadline`` makes the pump the worker's watchdog too: :meth:`watch`
+    starts the clock on an attempt, and once it runs ``deadline`` seconds
+    the pump calls ``on_deadline(*attempt)`` (which records the timeout and
+    SIGKILLs the worker).  The pump then wakes every ``deadline / 10``
+    seconds and still beats once per ``interval``.
     """
 
     def __init__(
@@ -288,11 +377,17 @@ class _HeartbeatPump:
         interval: float,
         progress: Optional[Callable[[], float]] = None,
         stall_after: Optional[float] = None,
+        deadline: Optional[float] = None,
+        on_deadline: Optional[Callable[..., None]] = None,
     ) -> None:
         self._board = board
         self._interval = interval
         self._progress = progress
         self._stall_after = stall_after
+        self._deadline = deadline
+        self._on_deadline = on_deadline
+        # (monotonic expiry, attempt) of the watched attempt, if any.
+        self._attempt: Optional[Tuple[float, Tuple[object, ...]]] = None
         self._stop = threading.Event()
         self._thread = threading.Thread(
             target=self._run, name="fleet-heartbeat", daemon=True
@@ -301,8 +396,30 @@ class _HeartbeatPump:
     def start(self) -> None:
         self._thread.start()
 
+    @contextmanager
+    def watch(self, *attempt: object) -> Iterator[None]:
+        """Hold the attempt executing inside the block to the deadline."""
+        if self._deadline is not None:
+            self._attempt = (time.monotonic() + self._deadline, attempt)
+        try:
+            yield
+        finally:
+            self._attempt = None
+
     def _run(self) -> None:
-        while not self._stop.wait(self._interval):
+        tick = self._interval
+        if self._deadline is not None:
+            tick = min(tick, self._deadline / 10.0)
+        beat_every = max(1, round(self._interval / tick))
+        ticks = 0
+        while not self._stop.wait(tick):
+            watched = self._attempt
+            if watched is not None and time.monotonic() >= watched[0]:
+                assert self._on_deadline is not None
+                self._on_deadline(*watched[1])
+            ticks += 1
+            if ticks % beat_every:
+                continue
             if (
                 self._progress is not None
                 and self._stall_after is not None
@@ -370,6 +487,7 @@ def run_worker(
     max_retries: int = 2,
     drain_on_signal: bool = False,
     drain: Optional[threading.Event] = None,
+    deadline: Optional[float] = None,
 ) -> FleetWorkerStats:
     """Join the sweep published in ``cache_dir`` and work until it is done.
 
@@ -383,17 +501,27 @@ def run_worker(
     execute_request_durable`): with a ``checkpoint`` policy the worker
     snapshots under its lease into the sweep's shared snapshot directory, so
     a worker stealing this point after a crash **resumes from the victim's
-    last snapshot** instead of cycle 0.  A request whose attempts (recorded
-    durably, across all workers) exceed ``max_retries`` extra tries is
-    quarantined as a poison point rather than executed again; deterministic
-    channel degradations are quarantined immediately, with no retry burned.
+    last snapshot** instead of cycle 0.  Every attempt lands in the sweep's
+    attempt ledger (shared by all workers) with its outcome -- ``crash``,
+    ``timeout`` or ``degraded`` -- and the committed cycle of its latest
+    snapshot.  A point whose ledger already holds ``1 + max_retries``
+    failed attempts is quarantined (:func:`_failure` picks the kind) rather
+    than executed again; deterministic channel degradations are quarantined
+    at once, with no retry burned.
+
+    ``deadline`` bounds each attempt's wall-clock seconds: past it the
+    heartbeat pump records a ``timeout``, releases the lease and SIGKILLs
+    this process (so run it in a process of its own, as :func:`run_fleet`
+    does); the fleet driver restarts the worker and the retry resumes from
+    the latest snapshot.
 
     ``drain_on_signal`` turns SIGTERM/SIGINT into a *graceful drain*: the
     engine loop stops at the next safe point (persisting a final snapshot
-    when checkpointing is on), every owned lease is released, the heartbeat
-    pump is joined and the stats report is written -- nothing is left for
-    survivors to steal or re-execute beyond the snapshot handoff.  ``drain``
-    exposes the same event programmatically.
+    when checkpointing is on), the interrupted attempt is withdrawn from the
+    ledger, every owned lease is released, the heartbeat pump is joined and
+    the stats report is written -- nothing is left for survivors to steal or
+    re-execute beyond the snapshot handoff.  ``drain`` exposes the same
+    event programmatically.
 
     ``kill_after`` is the crash-tolerance test hook used by CI: after that
     many successful executions the worker SIGKILLs itself *while holding its
@@ -434,11 +562,18 @@ def run_worker(
     def touch_progress(_committed: int = 0) -> None:
         progress_stamp[0] = time.monotonic()
 
+    def time_out(request_id: str, entry: Path) -> None:
+        _end_attempt(entry, "timeout", snapshot_root, request_id)
+        board.release(request_id)
+        _sigkill_self()
+
     pump = _HeartbeatPump(
         board,
         heartbeat_interval,
         progress=lambda: progress_stamp[0],
         stall_after=max(ttl, 4.0 * heartbeat_interval),
+        deadline=deadline,
+        on_deadline=time_out,
     )
     pump.start()
     pending: Dict[str, RunRequest] = {
@@ -446,6 +581,12 @@ def run_worker(
     }
     executed_ids: set = set()
     stats = FleetWorkerStats(owner=board.owner)
+
+    def quarantine(request: RunRequest, history: List[Dict[str, object]]) -> None:
+        write_quarantine(cache_dir, sweep_id, _failure(request, history, max_retries))
+        stats.quarantined += 1
+        pending.pop(request.request_id)
+
     try:
         while pending and not drain.is_set():
             progress = False
@@ -474,94 +615,62 @@ def run_worker(
                 # The lease may have raced a completion (claimer finished
                 # and published between our cache probe and our steal).
                 cache.refresh(request_id)
+                progress = True
                 if request_id in cache:
                     board.release(request_id)
                     pending.pop(request_id)
                     stats.deduped += 1
-                    progress = True
                     continue
                 request = pending[request_id]
-                prior = _count_attempts(cache_dir, sweep_id, request_id)
-                if prior > max_retries:
-                    # 1 + max_retries attempts started and none produced a
-                    # record: every execution died with its worker.  Poison.
-                    write_quarantine(
-                        cache_dir,
-                        sweep_id,
-                        RunFailure(
-                            request_id=request_id,
-                            label=request.display_label(),
-                            scenario=request.scenario,
-                            mode=request.mode,
-                            kind="poison",
-                            attempts=prior,
-                            message=(
-                                f"{prior} attempt(s) started without ever "
-                                "publishing a record; quarantined as poison"
-                            ),
-                        ),
-                    )
-                    stats.quarantined += 1
+                ledger = attempts_dir(cache_dir, sweep_id) / request_id
+                history = _read_attempts(ledger, snapshot_root, request_id)
+                if len(history) > max_retries:
+                    # Every allowed attempt ended without a record.
+                    quarantine(request, history)
                     board.release(request_id)
-                    pending.pop(request_id)
-                    progress = True
                     continue
-                _record_attempt(cache_dir, sweep_id, request_id, board.owner)
-                if prior:
+                entry = _begin_attempt(ledger, len(history))
+                if history:
                     stats.retried += 1
                 events = DurableRunEvents()
                 try:
-                    record = execute_request_durable(
-                        request,
-                        snapshot_root,
-                        policy=checkpoint or CheckpointPolicy(),
-                        heartbeat=touch_progress,
-                        chaos=monkey,
-                        drain=drain.is_set,
-                        events=events,
-                    )
+                    with pump.watch(request_id, entry):
+                        record = execute_request_durable(
+                            request,
+                            snapshot_root,
+                            policy=checkpoint or CheckpointPolicy(),
+                            heartbeat=touch_progress,
+                            chaos=monkey,
+                            drain=drain.is_set,
+                            events=events,
+                        )
                 except AbortRun:
                     # Drain fired mid-run; the final snapshot (if
-                    # checkpointing) is already on disk for a successor.
+                    # checkpointing) is already on disk for a successor,
+                    # and a drained attempt is not a failed one.
+                    entry.unlink()
                     break
                 except ChannelDegradedError as exc:
-                    write_quarantine(
-                        cache_dir,
-                        sweep_id,
-                        RunFailure(
-                            request_id=request_id,
-                            label=request.display_label(),
-                            scenario=request.scenario,
-                            mode=request.mode,
-                            kind="degraded",
-                            attempts=prior + 1,
-                            message=str(exc),
+                    history.append({
+                        "attempt": len(history),
+                        **_end_attempt(
+                            entry, "degraded", snapshot_root, request_id, str(exc)
                         ),
-                    )
-                    stats.quarantined += 1
+                    })
+                    quarantine(request, history)
                     board.release(request_id)
-                    pending.pop(request_id)
-                    progress = True
                     continue
                 except Exception as exc:
-                    if prior + 1 > max_retries:
-                        write_quarantine(
-                            cache_dir,
-                            sweep_id,
-                            RunFailure(
-                                request_id=request_id,
-                                label=request.display_label(),
-                                scenario=request.scenario,
-                                mode=request.mode,
-                                kind="poison",
-                                attempts=prior + 1,
-                                message=f"{type(exc).__name__}: {exc}",
-                            ),
-                        )
-                        stats.quarantined += 1
-                        pending.pop(request_id)
+                    history.append({
+                        "attempt": len(history),
+                        **_end_attempt(
+                            entry, "crash", snapshot_root, request_id,
+                            f"{type(exc).__name__}: {exc}",
+                        ),
+                    })
+                    if len(history) > max_retries:
+                        quarantine(request, history)
                     board.release(request_id)
-                    progress = True
                     continue
                 if events.resumed_from_cycle is not None:
                     stats.resumed += 1
@@ -569,7 +678,6 @@ def run_worker(
                 board.release(request_id)
                 executed_ids.add(request_id)
                 pending.pop(request_id)
-                progress = True
             if pending and not progress and not drain.is_set():
                 time.sleep(poll_interval)
     finally:
@@ -593,9 +701,6 @@ def run_worker(
 
 
 def _sigkill_self() -> None:  # pragma: no cover - the point is not to return
-    import os
-    import signal
-
     os.kill(os.getpid(), signal.SIGKILL)
 
 
@@ -638,6 +743,7 @@ def _worker_entry(
     chaos_payload: Optional[Dict[str, object]] = None,
     max_retries: int = 2,
     drain_on_signal: bool = True,
+    deadline: Optional[float] = None,
 ) -> None:
     """Module-level process target (must stay picklable for spawn contexts)."""
     policy = None
@@ -656,6 +762,7 @@ def _worker_entry(
         chaos=chaos,
         max_retries=max_retries,
         drain_on_signal=drain_on_signal,
+        deadline=deadline,
     )
 
 
@@ -709,45 +816,50 @@ class FleetStats:
 
 def reconcile(
     requests: Sequence[RunRequest],
-    cache: ResultCache,
+    cache: Optional[ResultCache],
     store: Optional[RunStore] = None,
     stats: Optional[FleetStats] = None,
+    runner: Optional[BatchRunner] = None,
     max_passes: int = 3,
 ) -> List[RunRecord]:
     """Converge store + cache to exactly this grid, in grid order.
 
     Reuses :func:`plan_resume` against the (possibly absent, partial or
     torn) store, serves the missing points from the cache -- executing any
-    true stragglers in-process, which makes reconciliation total even after
-    a whole-fleet crash -- and rewrites the store atomically.  The result is
-    byte-identical to an uninterrupted ``--jobs 1`` sweep of the same grid,
-    whatever the interleaving of worker crashes that preceded it.
+    true stragglers with ``runner`` (default: in-process), which makes
+    reconciliation total even after a whole-fleet crash -- and rewrites the
+    store atomically.  The result is byte-identical to an uninterrupted
+    ``--jobs 1`` sweep of the same grid, whatever the interleaving of worker
+    crashes that preceded it.  ``repro sweep --resume`` is this function
+    with the sweep's own runner and (optional) cache.
     """
-    runner = BatchRunner(jobs=1)
-    if store is None:
+    if runner is None:
+        runner = BatchRunner(jobs=1)
+
+    def execute(missing: List[RunRequest]) -> List[RunRecord]:
+        if cache is None:
+            return runner.run(missing)
         before = cache.stats.snapshot()
         cache.refresh()
-        records = runner.run(list(requests), cache=cache)
+        executed = runner.run(missing, cache=cache)
+        if stats is not None:
+            stats.executed_locally += cache.stats.since(before).misses
+        return executed
+
+    if store is None:
         if stats is not None:
             stats.reconcile_passes += 1
-            stats.executed_locally += cache.stats.since(before).misses
-        return records
+        return execute(list(requests))
 
     records: List[RunRecord] = []
     for _ in range(max_passes):
-        if stats is not None:
-            stats.reconcile_passes += 1
         plan = plan_resume(requests, store)
         if stats is not None:
+            stats.reconcile_passes += 1
             stats.torn_records += plan.skipped
             stats.reused_records = len(plan.reusable)
-        before = cache.stats.snapshot()
-        cache.refresh()
-        executed = runner.run(plan.missing, cache=cache)
-        if stats is not None:
-            stats.executed_locally += cache.stats.since(before).misses
         by_id = dict(plan.reusable)
-        for record in executed:
+        for record in execute(plan.missing):
             by_id[record.request_id] = record
         records = [by_id[request.request_id] for request in requests]
         store.write(records)
@@ -765,40 +877,46 @@ def run_fleet(
     ttl: float = DEFAULT_LEASE_TTL,
     poll_interval: float = DEFAULT_POLL_INTERVAL,
     kill_after: Optional[int] = None,
-    max_restarts: Optional[int] = None,
-    mp_context: Optional[str] = None,
     log: Optional[Callable[[str], None]] = None,
     checkpoint: Optional[CheckpointPolicy] = None,
     chaos: Optional[ChaosConfig] = None,
     max_retries: int = 2,
+    deadline: Optional[float] = None,
 ) -> Tuple[List[RunRecord], FleetStats]:
     """Publish the grid, drive ``workers`` local workers, reconcile.
+
+    This is the one supervised executor: ``deadline`` (seconds per attempt),
+    ``max_retries``, ``checkpoint`` and ``chaos`` are handed to every worker
+    (see :func:`run_worker`).  Intact records of an existing ``store`` seed
+    the cache first, so the workers execute only what the store lacks.
 
     ``workers=0`` spawns nothing: it publishes (or re-publishes) the
     manifest and reconciles whatever external workers have cached so far,
     executing any remainder in-process -- the "finalize now" mode for
     multi-host sweeps whose workers joined via ``repro worker``.
 
-    Crashed workers (non-zero exit, e.g. SIGKILL) are restarted up to
-    ``max_restarts`` times (default: one restart per worker); their leases
-    are stolen by survivors after ``ttl``.  ``kill_after`` arms the crash
-    hook on the *first* worker only -- see :func:`run_worker`.
+    Crashed workers (non-zero exit: a SIGKILL, a chaos kill, a blown
+    deadline) are restarted.  Every such death is charged to one point's
+    attempt ledger, so the restart budget is ``len(requests) * (max_retries
+    + 1)``; a dead worker's lease is stolen by the next worker to look (at
+    once on this host, see :func:`~repro.orchestration.claims.owner_is_dead`,
+    otherwise after ``ttl``).  ``kill_after`` arms the crash hook on the
+    *first* worker only -- see :func:`run_worker`.
 
-    ``checkpoint`` enables durable snapshots under the leases, making every
-    steal and restart a mid-run resume; ``chaos`` arms the deterministic
-    failure-injection harness in every worker.  Points quarantined by the
-    workers (poison or deterministically degraded) are excluded from the
-    returned records and from the store; read their failure records with
-    :func:`load_quarantine` (``stats.quarantined`` carries the count).
-    Workers are spawned with ``drain_on_signal`` enabled, so the driver's
-    terminate-on-teardown is a graceful drain, not a kill.
+    Points quarantined by the workers (timeout, crash, poison or
+    deterministically degraded) are excluded from the returned records and
+    from the store; read their failure records with :func:`load_quarantine`
+    (``stats.quarantined`` carries the count).  Workers are spawned with
+    ``drain_on_signal`` enabled, so the driver's terminate-on-teardown is a
+    graceful drain, not a kill.
     """
     request_list = list(requests)
     sweep_id = publish_grid(cache_dir, request_list)
     stats = FleetStats(sweep_id=sweep_id, grid_points=len(request_list))
-    if max_restarts is None:
-        max_restarts = max(1, workers)
+    max_restarts = len(request_list) * (max_retries + 1)
     cache = ResultCache(cache_dir)
+    if store is not None:
+        cache.put_many(plan_resume(request_list, store).reusable.values())
     wanted = [request.request_id for request in request_list]
     checkpoint_spec = (
         None
@@ -813,10 +931,8 @@ def run_fleet(
             return set()
         return {path.stem for path in directory.glob("*.json")}
 
-    context = multiprocessing.get_context(mp_context)
-
-    def spawn(index: int, hook: Optional[int]) -> multiprocessing.process.BaseProcess:
-        process = context.Process(
+    def spawn(index: int, hook: Optional[int]) -> multiprocessing.Process:
+        process = multiprocessing.Process(
             target=_worker_entry,
             args=(
                 str(cache_dir),
@@ -828,6 +944,7 @@ def run_fleet(
                 chaos_payload,
                 max_retries,
                 True,
+                deadline,
             ),
             name=f"fleet-worker-{index}",
             daemon=True,

@@ -14,10 +14,11 @@ store written from it) is byte-identical whether the cache was cold, warm,
 or absent.
 
 The runner is single-host by design; :mod:`~repro.orchestration.fleet`
-layers multi-host execution on top of the same cache (workers claim points
-by ``request_id`` via lease files and write through the atomic shards), then
-funnels back through ``BatchRunner`` during reconciliation -- which is why a
-fleet sweep's output is byte-identical to ``BatchRunner(jobs=1)``.
+layers multi-host and supervised execution on top of the same cache
+(workers claim points by ``request_id`` via lease files and write through
+the atomic shards), then funnels back through ``BatchRunner`` during
+reconciliation -- which is why a fleet sweep's output is byte-identical to
+``BatchRunner(jobs=1)``.
 """
 
 from __future__ import annotations
@@ -43,20 +44,13 @@ class BatchRunner:
     """Fan a list of :class:`RunRequest` across worker processes.
 
     Attributes:
-        jobs: number of worker processes; ``1`` runs in-process (no
-            multiprocessing involved at all, which also keeps coverage and
-            debuggers usable).
-        chunksize: requests handed to a worker at a time.  ``1`` gives the
-            best load balance for heterogeneous grids; raise it for large
-            grids of tiny runs.
-        mp_context: optional :mod:`multiprocessing` start-method name
-            (``"fork"`` / ``"spawn"`` / ``"forkserver"``); ``None`` uses the
-            platform default.
+        jobs: number of worker processes (platform-default start method,
+            one request handed out at a time for the best load balance on
+            heterogeneous grids); ``1`` runs in-process (no multiprocessing
+            involved at all, which also keeps coverage and debuggers usable).
     """
 
     jobs: int = 1
-    chunksize: int = 1
-    mp_context: Optional[str] = None
 
     def run(
         self,
@@ -131,16 +125,15 @@ class BatchRunner:
                     progress(done_offset + index + 1, total, record)
             return records
 
-        context = multiprocessing.get_context(self.mp_context)
         workers = min(self.jobs, count)
-        with context.Pool(processes=workers) as pool:
+        with multiprocessing.Pool(processes=workers) as pool:
             if progress is None:
-                return pool.map(execute_request, request_list, chunksize=self.chunksize)
+                return pool.map(execute_request, request_list, chunksize=1)
             results: List[Optional[RunRecord]] = [None] * count
             done = 0
             # imap preserves input order, so `record` pairs with its index.
             for index, record in enumerate(
-                pool.imap(execute_request, request_list, chunksize=self.chunksize)
+                pool.imap(execute_request, request_list, chunksize=1)
             ):
                 results[index] = record
                 done += 1

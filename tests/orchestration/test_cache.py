@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
 from repro.orchestration import (
@@ -28,6 +30,26 @@ def als_record():
     return execute_request(
         RunRequest(scenario="single_master", mode="als", cycles=60, accuracy=0.9)
     )
+
+
+def _put_after_barrier(root, record, barrier):
+    cache = ResultCache(root)
+    barrier.wait()
+    cache.put(record)
+
+
+def _same_shard_records():
+    """Two cheap records whose request ids share a shard key."""
+    first_by_shard = {}
+    for seed in range(1000):
+        request = RunRequest(
+            scenario="single_master", mode="als", cycles=20, seed=seed,
+            engine="analytical",
+        )
+        other = first_by_shard.setdefault(request.request_id[:SHARD_CHARS], request)
+        if other is not request:
+            return execute_request(other), execute_request(request)
+    raise AssertionError("no shard collision among 1000 request ids")
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +107,28 @@ def test_contains(tmp_path, record):
     cache.put(record)
     assert request in cache
     assert record.request_id in cache
+
+
+def test_concurrent_puts_into_one_shard_keep_both_records(tmp_path):
+    # Two processes released together each store one record into the same
+    # shard of a fresh cache: the cache lock must serialise their
+    # read-merge-rewrite so neither record is lost.
+    records = _same_shard_records()
+    context = multiprocessing.get_context()
+    for trial in range(20):
+        root = tmp_path / f"trial{trial}"
+        barrier = context.Barrier(len(records))
+        writers = [
+            context.Process(target=_put_after_barrier, args=(root, record, barrier))
+            for record in records
+        ]
+        for writer in writers:
+            writer.start()
+        for writer in writers:
+            writer.join(timeout=30)
+            assert writer.exitcode == 0
+        cache = ResultCache(root)
+        assert all(record.request_id in cache for record in records), trial
 
 
 def test_damaged_shard_lines_are_dropped_not_served(tmp_path, record):

@@ -113,7 +113,6 @@ def test_fleet_quarantines_poison_points_and_finishes_the_rest(tmp_path):
         poll_interval=0.1,
         chaos=chaos,
         max_retries=2,
-        max_restarts=16,
     )
     failures = load_quarantine(tmp_path / "cache", stats.sweep_id)
     assert sorted(f.request_id for f in failures) == sorted(doomed)

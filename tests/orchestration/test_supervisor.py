@@ -1,13 +1,14 @@
-"""Supervised execution: watchdog, retry, quarantine, exit-code taxonomy.
+"""Supervised execution through the fleet: deadline, retry, quarantine,
+exit-code taxonomy.
 
-These tests spawn real child processes (the supervisor's unit of isolation
-is a process -- a hung engine cannot be un-hung from inside).  Runs are kept
-tiny and deadlines tight so the suite stays fast.
+These tests spawn real worker processes (the unit of isolation is a process
+-- a hung engine cannot be un-hung from inside, and a worker past its
+deadline SIGKILLs itself).  Runs are kept tiny and deadlines tight so the
+suite stays fast.
 """
 
 from __future__ import annotations
 
-import json
 import time
 
 import pytest
@@ -17,19 +18,18 @@ from repro.orchestration import (
     ChaosConfig,
     ResultCache,
     RunFailure,
-    SupervisorPolicy,
     CheckpointPolicy,
     execute_request,
     failures_path,
     load_failures,
+    load_quarantine,
     quarantine_report,
-    run_supervised,
-    run_supervised_batch,
+    run_fleet,
     sweep_exit_code,
     write_failures,
 )
-from repro.orchestration import supervisor
-from repro.orchestration.request import RunRecord, RunRequest, canonical_json
+from repro.orchestration import fleet
+from repro.orchestration.request import RunRequest, canonical_json
 
 REQUEST = RunRequest(scenario="als_streaming", mode="als", cycles=120)
 
@@ -54,24 +54,8 @@ def _canonical(record):
 
 
 # ---------------------------------------------------------------------------
-# Policy and failure record plumbing (no child processes).
+# Failure record plumbing (no worker processes).
 # ---------------------------------------------------------------------------
-
-def test_policy_validation():
-    with pytest.raises(ValueError):
-        SupervisorPolicy(deadline=0)
-    with pytest.raises(ValueError):
-        SupervisorPolicy(max_retries=-1)
-    with pytest.raises(ValueError):
-        SupervisorPolicy(poll_interval=0)
-
-
-def test_policy_backoff_is_exponential_and_capped():
-    policy = SupervisorPolicy(backoff_base=0.1, backoff_factor=2.0, backoff_max=0.5)
-    assert policy.backoff(1) == pytest.approx(0.1)
-    assert policy.backoff(2) == pytest.approx(0.2)
-    assert policy.backoff(10) == pytest.approx(0.5)  # capped
-
 
 def test_run_failure_roundtrip_and_exit_codes():
     failure = RunFailure(
@@ -144,54 +128,49 @@ def test_failures_sidecar_roundtrip(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Supervised execution (child processes).
+# Supervised execution (fleet worker processes).
 # ---------------------------------------------------------------------------
 
+def _supervise(request, root, **options):
+    """One supervised request: its record, or its quarantine failure."""
+    records, stats = run_fleet([request], root, workers=1, **options)
+    failures = load_quarantine(root, stats.sweep_id)
+    assert len(records) + len(failures) == 1
+    return (records or failures)[0], stats
+
+
 def test_supervised_success_matches_plain_execution(tmp_path):
-    outcome = run_supervised(REQUEST, tmp_path)
-    assert isinstance(outcome, RunRecord)
+    outcome, _ = _supervise(REQUEST, tmp_path)
     assert _canonical(outcome) == _canonical(execute_request(REQUEST))
 
 
 def test_supervised_retry_resumes_after_chaos_kill(tmp_path):
     chaos = ChaosConfig(seed=0, kill_probability=1.0)  # SIGKILL mid-run, once
-    outcome = run_supervised(
+    outcome, stats = _supervise(
         KILLABLE,
-        tmp_path / "snaps",
-        policy=SupervisorPolicy(checkpoint=CheckpointPolicy(every_cycles=25)),
+        tmp_path,
+        checkpoint=CheckpointPolicy(every_cycles=25),
         chaos=chaos,
-        chaos_state_dir=tmp_path / "chaos",
     )
-    assert isinstance(outcome, RunRecord)
     assert _canonical(outcome) == _canonical(execute_request(KILLABLE))
+    assert stats.restarts == 1
+    assert stats.total("resumed") == 1  # the retry started from the snapshot
 
 
 def test_supervised_poison_after_exhausted_retries(tmp_path):
     chaos = ChaosConfig(seed=0, kill_probability=1.0, once=False)  # every attempt
-    outcome = run_supervised(
-        KILLABLE,
-        tmp_path / "snaps",
-        policy=SupervisorPolicy(max_retries=2),
-        chaos=chaos,
-        chaos_state_dir=tmp_path / "chaos",
-    )
+    outcome, _ = _supervise(KILLABLE, tmp_path, chaos=chaos, max_retries=2)
     assert isinstance(outcome, RunFailure)
     assert outcome.kind == "poison"
     assert outcome.attempts == 3
     assert outcome.exit_code == EXIT_CODES["poison"]
     assert [d["attempt"] for d in outcome.detail] == [0, 1, 2]
-    assert all(d["exit_code"] == -9 for d in outcome.detail)  # SIGKILLed
+    assert all(d["status"] == "crash" for d in outcome.detail)  # SIGKILLed
 
 
 def test_supervised_zero_retries_keeps_underlying_kind(tmp_path):
     chaos = ChaosConfig(seed=0, kill_probability=1.0, once=False)
-    outcome = run_supervised(
-        KILLABLE,
-        tmp_path / "snaps",
-        policy=SupervisorPolicy(max_retries=0),
-        chaos=chaos,
-        chaos_state_dir=tmp_path / "chaos",
-    )
+    outcome, _ = _supervise(KILLABLE, tmp_path, chaos=chaos, max_retries=0)
     assert isinstance(outcome, RunFailure)
     assert outcome.kind == "crash"  # not escalated to poison: no retry burned
     assert outcome.attempts == 1
@@ -201,15 +180,16 @@ def test_supervised_timeout_kills_a_hung_run(tmp_path):
     chaos = ChaosConfig(
         seed=0, hang_probability=1.0, hang_seconds=60.0, once=False
     )
-    outcome = run_supervised(
+    started = time.monotonic()
+    outcome, _ = _supervise(
         KILLABLE,
-        tmp_path / "snaps",
-        policy=SupervisorPolicy(
-            deadline=1.5, max_retries=1, checkpoint=CheckpointPolicy(every_cycles=10)
-        ),
+        tmp_path,
+        deadline=1.5,
+        max_retries=1,
+        checkpoint=CheckpointPolicy(every_cycles=10),
         chaos=chaos,
-        chaos_state_dir=tmp_path / "chaos",
     )
+    assert time.monotonic() - started < 30.0  # killed, not slept out
     assert isinstance(outcome, RunFailure)
     assert outcome.kind == "poison"  # retried, hung again, quarantined
     assert all(d["status"] == "timeout" for d in outcome.detail)
@@ -218,9 +198,7 @@ def test_supervised_timeout_kills_a_hung_run(tmp_path):
 
 
 def test_supervised_degradation_is_never_retried(tmp_path):
-    outcome = run_supervised(
-        DEGRADING, tmp_path, policy=SupervisorPolicy(max_retries=3)
-    )
+    outcome, _ = _supervise(DEGRADING, tmp_path, max_retries=3)
     assert isinstance(outcome, RunFailure)
     assert outcome.kind == "degraded"
     assert outcome.attempts == 1  # deterministic: retrying cannot help
@@ -229,7 +207,7 @@ def test_supervised_degradation_is_never_retried(tmp_path):
 
 
 class _Clock:
-    """Stand-in for the supervisor module's ``time``: a monotonic clock that
+    """Stand-in for the fleet module's ``time``: a monotonic clock that
     advances ``step`` seconds per reading (``0`` = frozen)."""
 
     sleep = staticmethod(time.sleep)
@@ -242,23 +220,22 @@ class _Clock:
         self.now += self.step
         return self.now
 
+    perf_counter = monotonic
+
 
 def test_supervised_failure_record_is_deterministic(tmp_path, monkeypatch):
     chaos = ChaosConfig(seed=3, kill_probability=1.0, once=False)
-    # Forked children inherit the patched clock, so anything the child
-    # reports on its own clock would differ between the two quarantines.
-    policy = SupervisorPolicy(
-        max_retries=1, checkpoint=CheckpointPolicy(every_cycles=10), mp_context="fork"
-    )
 
     def quarantine(subdir, clock_step):
-        monkeypatch.setattr(supervisor, "time", _Clock(clock_step))
-        outcome = run_supervised(
+        # Forked workers inherit the patched clock, so anything a worker
+        # reported on its own clock would differ between the two quarantines.
+        monkeypatch.setattr(fleet, "time", _Clock(clock_step))
+        outcome, _ = _supervise(
             KILLABLE,
-            tmp_path / subdir / "snaps",
-            policy=policy,
+            tmp_path / subdir,
             chaos=chaos,
-            chaos_state_dir=tmp_path / subdir / "chaos",
+            max_retries=1,
+            checkpoint=CheckpointPolicy(every_cycles=10),
         )
         assert isinstance(outcome, RunFailure)
         assert all(d["last_committed"] is not None for d in outcome.detail)
@@ -269,15 +246,14 @@ def test_supervised_failure_record_is_deterministic(tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Batch supervision.
+# Grid supervision.
 # ---------------------------------------------------------------------------
 
 def test_batch_partitions_grid_into_records_and_failures(tmp_path):
     healthy = RunRequest(scenario="single_master", mode="conservative", cycles=80)
     requests = [healthy, DEGRADING, REQUEST]
-    records, failures = run_supervised_batch(
-        requests, tmp_path, policy=SupervisorPolicy(max_retries=1), jobs=2
-    )
+    records, stats = run_fleet(requests, tmp_path, workers=2, max_retries=1)
+    failures = load_quarantine(tmp_path, stats.sweep_id)
     assert [r.request_id for r in records] == [
         healthy.request_id, REQUEST.request_id
     ]  # grid order, failure excised
@@ -288,15 +264,14 @@ def test_batch_partitions_grid_into_records_and_failures(tmp_path):
 
 
 def test_batch_cache_hits_bypass_supervision_and_fresh_runs_fill_it(tmp_path):
-    cache = ResultCache(tmp_path / "cache")
+    cache = ResultCache(tmp_path)
     warm = execute_request(REQUEST)
     cache.put(warm)
-    hits_before = cache.stats.hits
-    records, failures = run_supervised_batch([REQUEST], tmp_path / "snaps", cache=cache)
-    assert not failures
-    assert cache.stats.hits == hits_before + 1
+    records, stats = run_fleet([REQUEST], tmp_path, workers=1)
+    assert stats.total("executed") == 0
+    assert stats.total("deduped") == 1
     assert _canonical(records[0]) == _canonical(warm)
 
     other = RunRequest(scenario="single_master", mode="conservative", cycles=80)
-    records, _ = run_supervised_batch([other], tmp_path / "snaps", cache=cache)
-    assert cache.get(other) is not None  # fresh success written back
+    run_fleet([other], tmp_path, workers=1)
+    assert ResultCache(tmp_path).get(other) is not None  # fresh success stored

@@ -389,15 +389,11 @@ def test_sweep_fleet_requires_cache(capsys):
     assert "--fleet requires --cache" in captured.err
 
 
-def test_sweep_fleet_rejects_resume_and_jobs(capsys, tmp_path):
-    base = [
+def test_sweep_fleet_rejects_jobs(capsys, tmp_path):
+    code = main([
         "sweep", "--scenarios", "single_master",
-        "--fleet", "1", "--cache", str(tmp_path / "cache"),
-    ]
-    code = main(base + ["--resume", "--output", str(tmp_path / "out.jsonl")])
-    assert code == 1
-    assert "drop --resume" in capsys.readouterr().err
-    code = main(base + ["--jobs", "2"])
+        "--fleet", "1", "--cache", str(tmp_path / "cache"), "--jobs", "2",
+    ])
     assert code == 1
     assert "mutually exclusive" in capsys.readouterr().err
 
@@ -543,23 +539,68 @@ def test_sweep_timeout_exits_10(capsys, tmp_path):
     assert "timeout" in captured.err
 
 
-def test_sweep_resume_rejects_supervision(capsys, tmp_path):
-    code = main([
-        "sweep", "--scenarios", "single_master", "--cycles", "60",
-        "--resume", "--output", str(tmp_path / "runs.jsonl"),
-        "--deadline", "5",
-    ])
-    assert code == 1
-    assert "--resume cannot combine" in capsys.readouterr().err
+SMALL_SWEEP = [
+    "sweep", "--scenarios", "single_master", "mixed",
+    "--modes", "conservative", "als", "--cycles", "60",
+]
 
 
-def test_sweep_fleet_rejects_deadline(capsys, tmp_path):
-    code = main([
-        "sweep", "--scenarios", "single_master", "--cycles", "60",
-        "--fleet", "1", "--cache", str(tmp_path / "cache"), "--deadline", "5",
-    ])
-    assert code == 1
-    assert "--fleet-ttl" in capsys.readouterr().err
+def test_sweep_resume_under_supervision_matches_serial(capsys, tmp_path):
+    serial = tmp_path / "serial.jsonl"
+    assert main(SMALL_SWEEP + ["--jobs", "1", "--output", str(serial)]) == 0
+    serial_out = capsys.readouterr().out
+    torn = tmp_path / "torn.jsonl"
+    lines = serial.read_text().splitlines()
+    torn.write_text(lines[0] + "\n" + lines[1] + "\n" + lines[2][:50])
+    assert main(SMALL_SWEEP + [
+        "--resume", "--deadline", "60", "--output", str(torn),
+    ]) == 0
+    resumed = capsys.readouterr()
+    assert resumed.out == serial_out
+    assert torn.read_bytes() == serial.read_bytes()
+    # Only the two missing points were executed; the rest came from the store.
+    assert "2 executed, 2 deduped" in resumed.err
+    assert "2 reused from store" in resumed.err
+
+
+def test_sweep_fleet_with_deadline_matches_serial(capsys, tmp_path):
+    serial = tmp_path / "serial.jsonl"
+    assert main(SMALL_SWEEP + ["--jobs", "1", "--output", str(serial)]) == 0
+    serial_out = capsys.readouterr().out
+    fleet = tmp_path / "fleet.jsonl"
+    assert main(SMALL_SWEEP + [
+        "--fleet", "1", "--cache", str(tmp_path / "cache"),
+        "--deadline", "60", "--output", str(fleet),
+    ]) == 0
+    assert capsys.readouterr().out == serial_out
+    assert fleet.read_bytes() == serial.read_bytes()
+
+
+def test_supervised_commands_remove_their_scratch_directories(
+    capsys, tmp_path, monkeypatch
+):
+    import tempfile
+
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setenv("TMPDIR", str(scratch))
+    monkeypatch.setattr(tempfile, "tempdir", None)  # re-read TMPDIR
+    assert main([
+        "run", "--cycles", "60", "--soc", "single_master", "--deadline", "60",
+    ]) == 0
+    assert main(SMALL_SWEEP + ["--deadline", "60"]) == 0
+    # Failing supervised runs clean up too.
+    degrading = ["--faults", '{"loss_rate": 1.0, "max_attempts": 3}']
+    assert main([
+        "run", "--soc", "mixed", "--mode", "als", "--cycles", "300",
+        "--deadline", "60", *degrading,
+    ]) == 13
+    assert main([
+        "sweep", "--scenarios", "mixed", "--modes", "als", "--cycles", "300",
+        "--deadline", "60", *degrading,
+    ]) == 13
+    capsys.readouterr()
+    assert list(scratch.iterdir()) == []
 
 
 def test_worker_parser_accepts_durability_flags():
