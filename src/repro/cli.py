@@ -600,10 +600,11 @@ def _cmd_sweep(args: argparse.Namespace) -> Union[str, Tuple[str, int]]:
     elif args.resume:
         if store is None:
             raise ValueError("--resume requires --output (the store to resume)")
-        print(f"resume: {plan_resume(requests, store).summary()}", file=sys.stderr)
+        plan = plan_resume(requests, store)
+        print(f"resume: {plan.summary()}", file=sys.stderr)
         # Rewriting the whole store in grid order makes a resumed store
         # byte-identical to one produced by an uninterrupted sweep.
-        records = reconcile(requests, cache, store, runner=runner)
+        records = reconcile(requests, cache, store, runner=runner, plan=plan)
     else:
         records = runner.run(requests, cache=cache)
         if store is not None:

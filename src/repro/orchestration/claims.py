@@ -18,9 +18,6 @@ claimed ``request_id``:
   stand still for a full TTL of **local monotonic time**.  Hosts therefore
   never compare clocks (skew and mtime granularity are irrelevant); the
   price is that a fresh observer waits one TTL before its first steal.
-  The one exception needs no clock at all: a lease whose default owner name
-  (``host-pid``) names *this* host and a process that no longer exists is
-  stealable at once (:func:`owner_is_dead`).
 * **Steal** -- atomic :func:`os.replace` of a new lease over the expired
   one, then a read-back: whoever's lease survives the last replace owns the
   claim; losers see a foreign owner and walk away.
@@ -63,26 +60,6 @@ CORRUPT_OWNER = "<corrupt>"
 def default_owner() -> str:
     """A worker identity unique across the hosts sharing a cache directory."""
     return f"{socket.gethostname()}-{os.getpid()}"
-
-
-def owner_is_dead(owner: str) -> bool:
-    """True when ``owner`` is a :func:`default_owner` of this host whose
-    process is gone.
-
-    Only ever answers for same-host owners: a foreign host, a custom owner
-    name or a live (or merely inaccessible) process all read as "not known
-    dead", which leaves the lease to the TTL path.
-    """
-    host, _, pid = owner.rpartition("-")
-    if host != socket.gethostname() or not pid.isdigit():
-        return False
-    try:
-        os.kill(int(pid), 0)
-    except ProcessLookupError:
-        return True
-    except OSError:  # EPERM: the process exists under another user
-        pass
-    return False
 
 
 @dataclass(frozen=True)
@@ -183,11 +160,8 @@ class ClaimBoard:
         the hard-link path was unavailable) are reported as held by
         :data:`CORRUPT_OWNER` so they age out like any abandoned lease.
         """
-        return self._read_file(request_id, self.path(request_id))
-
-    def _read_file(self, request_id: str, path: Path) -> Optional[Lease]:
         try:
-            text = path.read_text()
+            text = self.path(request_id).read_text()
         except FileNotFoundError:
             return None
         except OSError:
@@ -295,10 +269,11 @@ class ClaimBoard:
         self.stats.lost += 1
 
     def try_acquire(self, request_id: str) -> Optional[str]:
-        """Claim a request, stealing its lease if expired or its owner is dead.
+        """Claim a request, stealing its lease if expired.
 
         Returns ``"claimed"`` for a fresh claim, ``"stolen"`` for a takeover
-        of an expired lease, or ``None`` when someone else holds a live (or
+        of an expired lease or of one left by an earlier process under this
+        owner name, or ``None`` when someone else holds a live (or
         not-yet-observed-expired) claim.
         """
         if request_id in self.owned:
@@ -310,11 +285,11 @@ class ClaimBoard:
             # Released between our failed claim and the read: one retry.
             return "claimed" if self.try_claim(request_id) else None
         if lease.owner == self.owner:
-            # Our own lease from an earlier life of this process id (e.g. a
-            # worker loop resumed after an exception): adopt it silently.
+            # Our own lease from an earlier life of this owner (a fleet
+            # worker restarted under its dead predecessor's name): take it
+            # over at once -- nobody else may be holding it.
             self.owned.add(request_id)
-            return "claimed"
-        if owner_is_dead(lease.owner) and self._steal_from_dead(request_id, lease.owner):
+            self.stats.stolen += 1
             return "stolen"
         now = self.clock()
         seen = self._observed.get(request_id)
@@ -324,32 +299,6 @@ class ClaimBoard:
         if now - seen[1] < self.steal_after:
             return None
         return "stolen" if self._try_steal(request_id) else None
-
-    def _steal_from_dead(self, request_id: str, dead_owner: str) -> bool:
-        """Take over a lease whose owner process is gone, with no TTL wait.
-
-        Many workers may notice the same death at once, so the takeover is
-        made exclusive: hard-linking the lease to a grave name fails with
-        ``EEXIST`` for all but one contender, and the winner replaces the
-        lease only if the linked file is still the dead owner's (a late
-        contender links the winner's fresh lease instead, and walks away).
-        """
-        grave = self.root / f"{request_id}.{dead_owner}.grave"
-        try:
-            os.link(self.path(request_id), grave)
-        except OSError:  # another contender's grave, a release, or no links
-            return False
-        try:
-            lease = self._read_file(request_id, grave)
-            if lease is None or lease.owner != dead_owner:
-                return False
-            self._replace(Lease(request_id, self.owner, 0, time.time()))
-        finally:
-            os.unlink(grave)
-        self._observed.pop(request_id, None)
-        self.owned.add(request_id)
-        self.stats.stolen += 1
-        return True
 
     def _try_steal(self, request_id: str) -> bool:
         """Replace an expired lease with our own and verify we won the race."""

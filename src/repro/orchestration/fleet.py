@@ -36,6 +36,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import shutil
 import signal
 import threading
 import time
@@ -46,9 +47,9 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Un
 
 from ..channel.faults import ChannelDegradedError
 from ..core.snapshot import AbortRun, SnapshotError, read_snapshot_meta
-from .cache import ResultCache, plan_resume
+from .cache import ResultCache, ResumePlan, plan_resume
 from .chaos import ChaosConfig, ChaosMonkey
-from .claims import DEFAULT_LEASE_TTL, ClaimBoard
+from .claims import DEFAULT_LEASE_TTL, ClaimBoard, default_owner
 from .durable import (
     CheckpointPolicy,
     DurableRunEvents,
@@ -104,7 +105,8 @@ def chaos_state_dir(cache_root: Union[str, Path]) -> Path:
 
 def attempts_dir(cache_root: Union[str, Path], sweep_id: str) -> Path:
     """Cross-worker attempt ledger: per point, one ``NNNN.attempt`` entry per
-    execution attempt, numbered in start order, recording how it ended."""
+    execution attempt, numbered in start order, naming its owner and, once
+    closed, how it ended."""
     return fleet_dir(cache_root) / "attempts" / sweep_id
 
 
@@ -162,22 +164,28 @@ def _snapshot_cycle(snapshot_root: Path, request_id: str) -> Optional[int]:
     return meta.committed_cycles
 
 
-def _begin_attempt(directory: Path, number: int) -> Path:
-    """Durably mark "execution attempt ``number`` of this point is starting".
+def _begin_attempt(directory: Path, number: int, owner: str) -> Path:
+    """Durably mark "``owner`` starts execution attempt ``number`` of this
+    point".
 
-    Written *before* executing, so an attempt that SIGKILLs its worker still
-    counts -- that persistence is what lets the surviving workers recognise
-    a poison point (attempts pile up without a cached record) and quarantine
-    it instead of dying one by one forever.
+    Written *before* executing, so an attempt that SIGKILLs its worker stays
+    on the books as an open entry; the fleet driver, which sees its worker
+    die, closes it as a ``crash`` (:func:`_close_dead_attempts`).  That
+    persistence is what lets the fleet recognise a poison point (failed
+    attempts pile up without a cached record) and quarantine it instead of
+    dying one worker at a time forever.
     """
     directory.mkdir(parents=True, exist_ok=True)
     while True:
         path = directory / f"{number:04d}.attempt"
         try:
-            os.close(os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
-            return path
+            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:  # a concurrent (stolen) attempt took it
             number += 1
+            continue
+        with os.fdopen(fd, "w") as handle:
+            handle.write(canonical_json({"owner": owner}) + "\n")
+        return path
 
 
 def _end_attempt(
@@ -198,24 +206,52 @@ def _end_attempt(
     return entry
 
 
-def _read_attempts(
-    directory: Path, snapshot_root: Path, request_id: str
-) -> List[Dict[str, object]]:
-    """Every attempt at one point, in start order, as failure-record detail.
+def _read_entry(path: Path) -> Dict[str, object]:
+    try:
+        return json.loads(path.read_text())
+    except (OSError, ValueError):  # torn by a crash between create and write
+        return {}
 
-    Only the lease holder reads the ledger, so an attempt that never recorded
-    an outcome belongs to a worker that died holding the lease (a SIGKILL, a
-    chaos kill): it is closed here as a ``crash``, with ``last_committed``
-    read from the snapshot that attempt left behind.
+
+def _read_attempts(directory: Path) -> List[Dict[str, object]]:
+    """Every failed attempt at one point, in start order, as failure-record
+    detail.
+
+    Only *closed* entries count.  An open one belongs to a worker that is
+    still running -- perhaps stalled, its lease stolen -- or that died where
+    no driver saw it; neither is charged, since a live attempt may yet
+    succeed.
     """
     history = []
-    for number, path in enumerate(sorted(directory.glob("*.attempt"))):
-        try:
-            entry = json.loads(path.read_text())
-        except ValueError:  # empty marker: the attempt's process died
-            entry = _end_attempt(path, "crash", snapshot_root, request_id)
-        history.append({"attempt": number, **entry})
+    for path in sorted(directory.glob("*.attempt")):
+        entry = _read_entry(path)
+        if "status" in entry:
+            history.append({"attempt": len(history), **entry})
     return history
+
+
+def _close_dead_attempts(
+    cache_root: Union[str, Path], sweep_id: str, owner: str
+) -> int:
+    """Close, as ``crash``, the attempts a dead worker left open.
+
+    Called by the fleet driver for a worker process it saw exit abnormally
+    (a SIGKILL, a chaos kill), so the owner is known dead, never guessed.
+    The attempts are found through the leases the worker still holds, and
+    ``last_committed`` is read from the snapshot each one left.  Returns the
+    number of attempts closed.
+    """
+    closed = 0
+    leases = ClaimBoard(claims_dir(cache_root), owner=owner).outstanding()
+    for request_id, lease in leases.items():
+        if lease.owner != owner:
+            continue
+        ledger = attempts_dir(cache_root, sweep_id) / request_id
+        for path in sorted(ledger.glob("*.attempt")):
+            if _read_entry(path) == {"owner": owner}:
+                _end_attempt(path, "crash", snapshots_dir(cache_root), request_id)
+                closed += 1
+    return closed
 
 
 def _failure(
@@ -513,7 +549,9 @@ def run_worker(
     heartbeat pump records a ``timeout``, releases the lease and SIGKILLs
     this process (so run it in a process of its own, as :func:`run_fleet`
     does); the fleet driver restarts the worker and the retry resumes from
-    the latest snapshot.
+    the latest snapshot.  Without a deadline a stuck attempt is instead
+    stolen once its heartbeat stops; the steal re-runs the point and charges
+    the stuck attempt nothing, since it may still finish.
 
     ``drain_on_signal`` turns SIGTERM/SIGINT into a *graceful drain*: the
     engine loop stops at the next safe point (persisting a final snapshot
@@ -531,6 +569,7 @@ def run_worker(
     ``requests`` overrides the manifest (used by in-process tests); normal
     workers load the published grid.
     """
+    _check_supervision(deadline, max_retries)
     start = time.perf_counter()
     if requests is None:
         sweep_id, request_list = load_grid(cache_dir)
@@ -567,11 +606,15 @@ def run_worker(
         board.release(request_id)
         _sigkill_self()
 
+    # Under a deadline the deadline is the watchdog: a stuck attempt keeps
+    # its lease until it times out, rather than being stolen and re-run
+    # beside it.
+    stall_after = None if deadline is not None else max(ttl, 4.0 * heartbeat_interval)
     pump = _HeartbeatPump(
         board,
         heartbeat_interval,
         progress=lambda: progress_stamp[0],
-        stall_after=max(ttl, 4.0 * heartbeat_interval),
+        stall_after=stall_after,
         deadline=deadline,
         on_deadline=time_out,
     )
@@ -623,13 +666,13 @@ def run_worker(
                     continue
                 request = pending[request_id]
                 ledger = attempts_dir(cache_dir, sweep_id) / request_id
-                history = _read_attempts(ledger, snapshot_root, request_id)
+                history = _read_attempts(ledger)
                 if len(history) > max_retries:
                     # Every allowed attempt ended without a record.
                     quarantine(request, history)
                     board.release(request_id)
                     continue
-                entry = _begin_attempt(ledger, len(history))
+                entry = _begin_attempt(ledger, len(history), board.owner)
                 if history:
                     stats.retried += 1
                 events = DurableRunEvents()
@@ -698,6 +741,13 @@ def run_worker(
     stats.elapsed_seconds = time.perf_counter() - start
     _write_worker_stats(cache_dir, sweep_id, stats)
     return stats
+
+
+def _check_supervision(deadline: Optional[float], max_retries: int) -> None:
+    if deadline is not None and deadline <= 0:
+        raise ValueError(f"deadline must be positive, got {deadline}")
+    if max_retries < 0:
+        raise ValueError(f"max_retries must be >= 0, got {max_retries}")
 
 
 def _sigkill_self() -> None:  # pragma: no cover - the point is not to return
@@ -821,6 +871,7 @@ def reconcile(
     stats: Optional[FleetStats] = None,
     runner: Optional[BatchRunner] = None,
     max_passes: int = 3,
+    plan: Optional[ResumePlan] = None,
 ) -> List[RunRecord]:
     """Converge store + cache to exactly this grid, in grid order.
 
@@ -831,7 +882,9 @@ def reconcile(
     store atomically.  The result is byte-identical to an uninterrupted
     ``--jobs 1`` sweep of the same grid, whatever the interleaving of worker
     crashes that preceded it.  ``repro sweep --resume`` is this function
-    with the sweep's own runner and (optional) cache.
+    with the sweep's own runner and (optional) cache.  ``plan`` is the
+    store's plan for ``requests`` when the caller already made one, so the
+    store is not scanned twice.
     """
     if runner is None:
         runner = BatchRunner(jobs=1)
@@ -853,7 +906,8 @@ def reconcile(
 
     records: List[RunRecord] = []
     for _ in range(max_passes):
-        plan = plan_resume(requests, store)
+        if plan is None:
+            plan = plan_resume(requests, store)
         if stats is not None:
             stats.reconcile_passes += 1
             stats.torn_records += plan.skipped
@@ -863,8 +917,8 @@ def reconcile(
             by_id[record.request_id] = record
         records = [by_id[request.request_id] for request in requests]
         store.write(records)
-        verify = plan_resume(requests, store)
-        if not verify.missing and not verify.skipped and not verify.extra:
+        plan = plan_resume(requests, store)  # verify; next pass's plan
+        if not plan.missing and not plan.skipped and not plan.extra:
             break
     return records
 
@@ -898,10 +952,14 @@ def run_fleet(
     Crashed workers (non-zero exit: a SIGKILL, a chaos kill, a blown
     deadline) are restarted.  Every such death is charged to one point's
     attempt ledger, so the restart budget is ``len(requests) * (max_retries
-    + 1)``; a dead worker's lease is stolen by the next worker to look (at
-    once on this host, see :func:`~repro.orchestration.claims.owner_is_dead`,
-    otherwise after ``ttl``).  ``kill_after`` arms the crash hook on the
-    *first* worker only -- see :func:`run_worker`.
+    + 1)``.  Before a restart the driver closes the dead worker's open
+    attempts as crashes (:func:`_close_dead_attempts`) and respawns it under
+    the same owner name, so the replacement takes the dead worker's leases
+    back at once instead of after a TTL.  Each call starts every point with
+    a fresh retry budget: the sweep's ledger and quarantine from an earlier
+    call over the same directory are cleared (except with ``workers=0``,
+    which only finalizes what external workers did).  ``kill_after`` arms
+    the crash hook on the *first* worker only -- see :func:`run_worker`.
 
     Points quarantined by the workers (timeout, crash, poison or
     deterministically degraded) are excluded from the returned records and
@@ -910,13 +968,20 @@ def run_fleet(
     ``drain_on_signal`` enabled, so the driver's terminate-on-teardown is a
     graceful drain, not a kill.
     """
+    _check_supervision(deadline, max_retries)
     request_list = list(requests)
     sweep_id = publish_grid(cache_dir, request_list)
+    if workers > 0:
+        for directory in (
+            attempts_dir(cache_dir, sweep_id), quarantine_dir(cache_dir, sweep_id)
+        ):
+            shutil.rmtree(directory, ignore_errors=True)
     stats = FleetStats(sweep_id=sweep_id, grid_points=len(request_list))
     max_restarts = len(request_list) * (max_retries + 1)
     cache = ResultCache(cache_dir)
-    if store is not None:
-        cache.put_many(plan_resume(request_list, store).reusable.values())
+    plan = None if store is None else plan_resume(request_list, store)
+    if plan is not None:
+        cache.put_many(plan.reusable.values())
     wanted = [request.request_id for request in request_list]
     checkpoint_spec = (
         None
@@ -931,12 +996,12 @@ def run_fleet(
             return set()
         return {path.stem for path in directory.glob("*.json")}
 
-    def spawn(index: int, hook: Optional[int]) -> multiprocessing.Process:
+    def spawn(index: int, owner: str, hook: Optional[int]) -> multiprocessing.Process:
         process = multiprocessing.Process(
             target=_worker_entry,
             args=(
                 str(cache_dir),
-                None,
+                owner,
                 ttl,
                 poll_interval,
                 hook,
@@ -952,8 +1017,9 @@ def run_fleet(
         process.start()
         return process
 
-    processes = [spawn(index, kill_after if index == 0 else None)
-                 for index in range(workers)]
+    owners = [f"{default_owner()}-w{index}" for index in range(workers)]
+    processes = [spawn(index, owner, kill_after if index == 0 else None)
+                 for index, owner in enumerate(owners)]
     try:
         if processes:
             while True:
@@ -970,6 +1036,7 @@ def run_fleet(
                         alive += 1
                         continue
                     if process.exitcode not in (0, None) and stats.restarts < max_restarts:
+                        _close_dead_attempts(cache_dir, sweep_id, owners[index])
                         stats.restarts += 1
                         if log is not None:
                             log(
@@ -977,7 +1044,9 @@ def run_fleet(
                                 f"{process.exitcode}; restart "
                                 f"{stats.restarts}/{max_restarts}"
                             )
-                        processes[index] = spawn(workers + stats.restarts, None)
+                        processes[index] = spawn(
+                            workers + stats.restarts, owners[index], None
+                        )
                         alive += 1
                 if alive == 0:
                     # Whole fleet gone and restart budget spent: fall through,
@@ -1001,7 +1070,10 @@ def run_fleet(
         request for request in request_list
         if request.request_id not in quarantined
     ]
-    records = reconcile(healthy, cache, store=store, stats=stats)
+    if plan is not None:
+        # The store is unchanged since seeding; only the grid shrank.
+        plan.missing = [r for r in plan.missing if r.request_id not in quarantined]
+    records = reconcile(healthy, cache, store=store, stats=stats, plan=plan)
     board = ClaimBoard(claims_dir(cache_dir), owner="reconciler", ttl=ttl)
     cache.refresh()
     stats.reaped_leases = board.sweep_completed(

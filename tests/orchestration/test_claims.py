@@ -2,17 +2,7 @@
 
 from __future__ import annotations
 
-import socket
-import subprocess
-import sys
-
-from repro.orchestration.claims import (
-    CORRUPT_OWNER,
-    ClaimBoard,
-    Lease,
-    default_owner,
-    owner_is_dead,
-)
+from repro.orchestration.claims import CORRUPT_OWNER, ClaimBoard, Lease
 
 
 class FakeClock:
@@ -178,34 +168,3 @@ def test_ttl_must_be_positive(tmp_path):
 
     with pytest.raises(ValueError):
         ClaimBoard(tmp_path, ttl=0.0)
-
-
-# ---------------------------------------------------------------------------
-# Dead same-host owners.
-# ---------------------------------------------------------------------------
-
-def _dead_owner():
-    """A default owner name of this host whose process has exited."""
-    child = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
-                           capture_output=True, text=True, check=True)
-    return f"{socket.gethostname()}-{child.stdout.strip()}"
-
-
-def test_owner_is_dead_only_for_gone_same_host_processes():
-    assert owner_is_dead(_dead_owner())
-    assert not owner_is_dead(default_owner())  # this very process
-    assert not owner_is_dead("alice")
-    assert not owner_is_dead("some-other-host-1")
-
-
-def test_lease_of_a_dead_owner_is_stolen_without_waiting_a_ttl(tmp_path):
-    clock = FakeClock()
-    dead = make_board(tmp_path, _dead_owner(), clock)
-    assert dead.try_claim("r1")
-    bob = make_board(tmp_path, "bob", clock)
-    carol = make_board(tmp_path, "carol", clock)
-    assert bob.try_acquire("r1") == "stolen"  # no clock advance at all
-    assert carol.try_acquire("r1") is None  # bob's fresh lease is live
-    assert bob.read("r1").owner == "bob"
-    assert bob.stats.stolen == 1
-    assert sorted(p.name for p in (tmp_path / "claims").iterdir()) == ["r1.lease"]

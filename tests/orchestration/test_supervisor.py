@@ -25,10 +25,12 @@ from repro.orchestration import (
     load_quarantine,
     quarantine_report,
     run_fleet,
+    run_worker,
     sweep_exit_code,
     write_failures,
 )
 from repro.orchestration import fleet
+from repro.orchestration.claims import DEFAULT_LEASE_TTL, ClaimBoard
 from repro.orchestration.request import RunRequest, canonical_json
 
 REQUEST = RunRequest(scenario="als_streaming", mode="als", cycles=120)
@@ -139,6 +141,16 @@ def _supervise(request, root, **options):
     return (records or failures)[0], stats
 
 
+@pytest.mark.parametrize("options", [
+    {"deadline": 0}, {"deadline": -1.0}, {"max_retries": -1},
+])
+def test_supervision_settings_are_validated(tmp_path, options):
+    with pytest.raises(ValueError):
+        run_fleet([REQUEST], tmp_path, workers=1, **options)
+    with pytest.raises(ValueError):
+        run_worker(tmp_path, requests=[REQUEST], **options)
+
+
 def test_supervised_success_matches_plain_execution(tmp_path):
     outcome, _ = _supervise(REQUEST, tmp_path)
     assert _canonical(outcome) == _canonical(execute_request(REQUEST))
@@ -146,6 +158,7 @@ def test_supervised_success_matches_plain_execution(tmp_path):
 
 def test_supervised_retry_resumes_after_chaos_kill(tmp_path):
     chaos = ChaosConfig(seed=0, kill_probability=1.0)  # SIGKILL mid-run, once
+    started = time.monotonic()
     outcome, stats = _supervise(
         KILLABLE,
         tmp_path,
@@ -155,6 +168,9 @@ def test_supervised_retry_resumes_after_chaos_kill(tmp_path):
     assert _canonical(outcome) == _canonical(execute_request(KILLABLE))
     assert stats.restarts == 1
     assert stats.total("resumed") == 1  # the retry started from the snapshot
+    # The driver closed the dead worker's attempt and released its lease:
+    # the retry did not wait out the lease TTL.
+    assert time.monotonic() - started < DEFAULT_LEASE_TTL
 
 
 def test_supervised_poison_after_exhausted_retries(tmp_path):
@@ -243,6 +259,28 @@ def test_supervised_failure_record_is_deterministic(tmp_path, monkeypatch):
 
     # Wall-clock free by design: a frozen and a racing clock agree.
     assert quarantine("a", 0.0) == quarantine("b", 60.0)
+
+
+def test_open_attempts_are_charged_only_when_their_owner_is_known_dead(tmp_path):
+    ledger = fleet.attempts_dir(tmp_path, "sweep") / "r1"
+    # A stalled worker's attempt, its lease since stolen by a worker that
+    # then died mid-attempt, holding the lease.
+    fleet._begin_attempt(ledger, 0, "stalled")
+    dead = ClaimBoard(fleet.claims_dir(tmp_path), owner="dead")
+    assert dead.try_claim("r1")
+    fleet._begin_attempt(ledger, 1, "dead")
+    assert fleet._read_attempts(ledger) == []  # both may still be running
+
+    # The stalled owner holds no lease: nothing to close on its behalf.
+    assert fleet._close_dead_attempts(tmp_path, "sweep", "stalled") == 0
+    assert fleet._close_dead_attempts(tmp_path, "sweep", "dead") == 1
+    history = fleet._read_attempts(ledger)
+    assert [(d["attempt"], d["status"]) for d in history] == [(0, "crash")]
+    # The dead worker's replacement, restarted under its name, takes the
+    # lease over at once.
+    successor = ClaimBoard(fleet.claims_dir(tmp_path), owner="dead")
+    assert successor.try_acquire("r1") == "stolen"
+    assert successor.stats.stolen == 1
 
 
 # ---------------------------------------------------------------------------

@@ -539,6 +539,61 @@ def test_sweep_timeout_exits_10(capsys, tmp_path):
     assert "timeout" in captured.err
 
 
+def test_sweep_stalled_point_is_rerun_not_charged(capsys, tmp_path):
+    """Without a deadline a hung attempt's lease is stolen and the point
+    re-run; the stuck attempt may still finish, so it is never charged as
+    a crash -- the sweep exits 0 with the serial bytes."""
+    argv = [
+        "sweep", "--scenarios", "single_master", "--modes", "conservative",
+        "--cycles", "150",
+    ]
+    assert main(argv + ["--output", str(tmp_path / "plain.jsonl")]) == 0
+    plain = capsys.readouterr()
+    code = main(argv + [
+        "--jobs", "2", "--max-retries", "0",
+        "--fleet-ttl", "1", "--fleet-poll", "0.1",
+        "--chaos-hang", "1.0", "--chaos-hang-seconds", "4",
+        "--output", str(tmp_path / "hung.jsonl"),
+    ])
+    hung = capsys.readouterr()
+    assert code == 0
+    assert hung.out == plain.out
+    assert (tmp_path / "hung.jsonl").read_bytes() == (
+        tmp_path / "plain.jsonl"
+    ).read_bytes()
+
+
+def test_supervised_rerun_gets_a_fresh_retry_budget(capsys, tmp_path):
+    argv = [
+        "sweep", "--scenarios", "single_master", "--modes", "conservative",
+        "--cycles", "150", "--deadline", "1.0", "--max-retries", "0",
+        "--cache", str(tmp_path / "cache"),
+        "--output", str(tmp_path / "runs.jsonl"),
+    ]
+    hang = [
+        "--chaos-hang", "1.0", "--chaos-hang-seconds", "30",
+        "--chaos-every-attempt",
+    ]
+    assert main(argv + hang) == 10
+    capsys.readouterr()
+    # Same command, same cache, no hang: the timed-out point runs again
+    # instead of being re-quarantined from the earlier call's ledger.
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert not (tmp_path / "runs.jsonl.failures").exists()
+    assert len((tmp_path / "runs.jsonl").read_text().splitlines()) == 1
+
+
+@pytest.mark.parametrize("option", [
+    ["--deadline", "0"], ["--deadline", "-1"], ["--max-retries", "-1"],
+])
+def test_supervised_commands_reject_bad_settings(capsys, option):
+    assert main(SMALL_SWEEP + option) == 1
+    assert "repro: error" in capsys.readouterr().err
+    assert main(["run", "--cycles", "60", *option]) == 1
+    assert "repro: error" in capsys.readouterr().err
+
+
 SMALL_SWEEP = [
     "sweep", "--scenarios", "single_master", "mixed",
     "--modes", "conservative", "als", "--cycles", "60",
